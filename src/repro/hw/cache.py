@@ -24,7 +24,9 @@ class Cache:
     """One set-associative, write-allocate, LRU cache level.
 
     Tags are full line addresses (``addr // line_size``); each set maps
-    line address -> DDIO flag, ordered least-recently-used first.
+    line address -> DDIO flag, ordered least-recently-used first.  The
+    hardware model's hit path and DMA loop index ``_sets`` directly, so
+    the list and its sets are only ever cleared in place, never replaced.
     """
 
     __slots__ = ("name", "size", "assoc", "line_size", "n_sets", "_sets",
@@ -158,14 +160,71 @@ class CacheHierarchy:
 
     def dma_write(self, line_addr: int) -> None:
         """NIC DMA of one line: DDIO-allocate in LLC, invalidate core copies."""
-        for core in range(self.n_cores):
-            self.l1[core].invalidate(line_addr)
-            self.l2[core].invalidate(line_addr)
-        self.llc.fill(line_addr, ddio=True, ddio_ways=self.params.ddio_ways)
+        self.dma_write_lines(line_addr, line_addr)
+
+    def dma_write_lines(self, first_line: int, last_line: int) -> None:
+        """NIC DMA of lines ``first_line..last_line``, in one loop.
+
+        Per line, the same state changes as :meth:`Cache.invalidate` on
+        every core's L1 and L2 followed by
+        ``llc.fill(line, ddio=True, ddio_ways=params.ddio_ways)``, with
+        both inlined: a frame carries ~17 lines, and the calls cost more
+        than the work.
+        """
+        # Only the LLC takes DDIO fills, so no private line is DDIO-flagged
+        # and dropping one leaves the DDIO counts alone.
+        private = [(cache._sets, cache.n_sets)
+                   for pair in zip(self.l1, self.l2) for cache in pair]
+        llc = self.llc
+        llc_sets = llc._sets
+        llc_n_sets = llc.n_sets
+        llc_assoc = llc.assoc
+        ddio_count = llc._ddio_count
+        ddio_ways = self.params.ddio_ways
+        for line_addr in range(first_line, last_line + 1):
+            for sets, n_sets in private:
+                sets[line_addr % n_sets].pop(line_addr, None)
+            idx = line_addr % llc_n_sets
+            cset = llc_sets[idx]
+            if line_addr in cset:
+                continue
+            evicted = None
+            if ddio_ways is not None and ddio_count[idx] >= ddio_ways:
+                for victim, is_ddio in cset.items():
+                    if is_ddio:
+                        evicted = victim
+                        break
+                if evicted is not None:
+                    del cset[evicted]
+                    ddio_count[idx] -= 1
+            if evicted is None and len(cset) >= llc_assoc:
+                if cset.pop(next(iter(cset))):
+                    ddio_count[idx] -= 1
+            cset[line_addr] = True
+            ddio_count[idx] += 1
 
     def dma_read(self, line_addr: int) -> bool:
         """NIC DMA read (TX): served from LLC when resident.  Returns hit."""
         return self.llc.access(line_addr)
+
+    def dma_read_lines(self, first_line: int, last_line: int) -> None:
+        """NIC DMA read of lines ``first_line..last_line``, in one loop.
+
+        The same LLC promotions and hit/miss counts as :meth:`dma_read`
+        per line, with :meth:`Cache.access` inlined.
+        """
+        llc = self.llc
+        llc_sets = llc._sets
+        llc_n_sets = llc.n_sets
+        hits = 0
+        for line_addr in range(first_line, last_line + 1):
+            cset = llc_sets[line_addr % llc_n_sets]
+            flag = cset.pop(line_addr, None)
+            if flag is not None:
+                cset[line_addr] = flag
+                hits += 1
+        llc.hits += hits
+        llc.misses += last_line - first_line + 1 - hits
 
     def flush(self) -> None:
         for cache in self.l1 + self.l2 + [self.llc]:

@@ -12,6 +12,19 @@ provides the standard capacity model instead: a uniformly random access
 into a footprint of ``S`` bytes hits a level of effective capacity ``C``
 with probability ``min(1, C/S)``.  The hot path (descriptors, metadata,
 element state, packet headers) is always simulated exactly.
+
+Exact accesses are split into a hit path and a full walk.  Most hot-path
+loads touch one line whose page is in the DTLB and which sits in L1; for
+those, :meth:`repro.hw.cpu.CpuCore.mem_access` makes the walk's state
+changes itself (DTLB and L1 LRU promotion, the TLB's and L1's access
+counts, the ``l1_hits``/``dtlb_walks`` cells) in one Python frame, using
+the structures :meth:`MemorySystem.hit_path` hands it.  It decides hit or
+miss before touching anything, and everything else -- multi-line
+accesses, DTLB or L1 misses, and callers that enter here directly, such
+as generated kernels -- takes :meth:`MemorySystem.access`, which remains
+the definition of the model.  NIC DMA writes and reads likewise run as
+one loop over the lines of a frame (:meth:`CacheHierarchy.dma_write_lines`,
+:meth:`CacheHierarchy.dma_read_lines`).
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from repro.hw.layout import DMA_BASE
 from repro.hw.tlb import Tlb
 
 HUGE_PAGE_SIZE = 2 * 1024 * 1024
+#: Added to hugepage numbers so they never collide with 4 KB page numbers.
+HUGE_PAGE_TAG = 1 << 40
 
 
 class AccessLevel(enum.IntEnum):
@@ -92,10 +107,30 @@ class MemorySystem:
         h.dtlb_walks.value = self.tlbs[core].walks
         return cycles, ns
 
+    def hit_path(self, core: int) -> tuple:
+        """The state :meth:`CpuCore.mem_access` needs to serve a hit alone.
+
+        ``(cache_line, page_size, tlb, dtlb, l1, l1_sets, l1_n_sets,
+        l1_hits, dtlb_walks, l1_hit_cycles)`` for ``core``: its
+        :class:`Tlb` and DTLB set, its L1 :class:`~repro.hw.cache.Cache`
+        and that cache's sets, the two counter cells a hit updates, and
+        the cycles :meth:`access` charges for one L1 hit (summed onto
+        ``0.0``, as :meth:`access` sums them).  None of these
+        objects is ever replaced (flushes clear them in place), so the
+        tuple stays valid for the life of the memory system.
+        """
+        params = self.params
+        tlb = self.tlbs[core]
+        l1 = self.hierarchy.l1[core]
+        handles = self.counters[core].handles
+        return (params.cache_line, params.page_size, tlb, tlb._dtlb, l1,
+                l1._sets, l1.n_sets, handles.l1_hits, handles.dtlb_walks,
+                0.0 + params.l1_hit_cycles)
+
     def _page_of(self, addr: int) -> int:
         """Page number; the DPDK DMA region is hugepage-backed (2 MB)."""
         if addr >= DMA_BASE:
-            return (1 << 40) + (addr - DMA_BASE) // HUGE_PAGE_SIZE
+            return HUGE_PAGE_TAG + (addr - DMA_BASE) // HUGE_PAGE_SIZE
         return addr // self.params.page_size
 
     # -- analytic capacity model -----------------------------------------------
@@ -180,15 +215,13 @@ class MemorySystem:
         line = self.params.cache_line
         first_line = addr // line
         last_line = (addr + size - 1) // line
-        for line_addr in range(first_line, last_line + 1):
-            self.hierarchy.dma_write(line_addr)
+        self.hierarchy.dma_write_lines(first_line, last_line)
         self.counters[0].handles.ddio_fills.value += last_line - first_line + 1
 
     def dma_read(self, addr: int, size: int) -> None:
         """NIC reads ``size`` bytes for transmission (no core-side cost)."""
         line = self.params.cache_line
-        for line_addr in range(addr // line, (addr + size - 1) // line + 1):
-            self.hierarchy.dma_read(line_addr)
+        self.hierarchy.dma_read_lines(addr // line, (addr + size - 1) // line)
 
     # -- housekeeping ---------------------------------------------------------------
 

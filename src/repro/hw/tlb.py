@@ -36,7 +36,13 @@ class _LruSet(OrderedDict):
 
 
 class Tlb:
-    """L1 DTLB backed by a unified STLB; misses cost a page-walk."""
+    """L1 DTLB backed by a unified STLB; misses cost a page-walk.
+
+    :meth:`repro.hw.cpu.CpuCore.mem_access` serves DTLB hits of L1-hit
+    loads without calling :meth:`access`; it promotes the page in
+    ``_dtlb`` and counts the access itself, so the set is only ever
+    cleared in place, never replaced.
+    """
 
     def __init__(self, params):
         self.params = params

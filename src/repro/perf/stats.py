@@ -12,11 +12,19 @@ from typing import Sequence, Tuple
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    if not samples:
+    return sorted_percentile(sorted(samples), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of samples already in ascending order.
+
+    Lets a caller that needs several percentiles of one distribution sort
+    it once.
+    """
+    if not ordered:
         raise ValueError("no samples")
     if not 0 <= q <= 100:
         raise ValueError("percentile out of range: %r" % q)
-    ordered = sorted(samples)
     if len(ordered) == 1:
         return ordered[0]
     rank = (len(ordered) - 1) * q / 100.0

@@ -23,6 +23,29 @@ class TestCapacity:
         with pytest.raises(ValueError):
             LoadLatencySimulator(0.0)
 
+    @pytest.mark.parametrize("ring_size", [0, -1])
+    def test_rejects_empty_ring(self, ring_size):
+        # A ring that holds nothing used to drop every packet and then
+        # crash taking percentiles of no samples.
+        with pytest.raises(ValueError, match="ring_size"):
+            sim(ring_size=ring_size)
+
+    @pytest.mark.parametrize("burst", [0, -4])
+    def test_rejects_empty_burst(self, burst):
+        # A zero burst used to serve nothing per poll and loop forever.
+        with pytest.raises(ValueError, match="burst"):
+            sim(burst=burst)
+
+    @pytest.mark.parametrize("n_packets", [0, -10])
+    def test_rejects_empty_run(self, n_packets):
+        with pytest.raises(ValueError, match="n_packets"):
+            sim().run(1e6, n_packets=n_packets)
+
+    def test_smallest_valid_arguments_run(self):
+        res = sim(ring_size=1, burst=1).run(2e7, n_packets=1)
+        assert res.samples == 1
+        assert res.drop_rate == 0.0
+
 
 class TestLatencyBehaviour:
     def test_light_load_latency_near_floor(self):
