@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.compiler.lower import ExecProgram
-from repro.compiler.runtime import TARGET_INDEX, execute_bases
+from repro.compiler.runtime import execute_bases
 from repro.telemetry.registry import CounterRegistry
 
 #: Process-wide codegen statistics (``exec.codegen.*`` through brokers).
@@ -129,7 +129,7 @@ def _emit_charges(program: ExecProgram, out: List[str], indent: str) -> None:
         rounded = round(program.branch_miss_expect)
         if rounded:
             pad(indent + "_bmiss.value += %d" % rounded)
-    for target, offset, size, write in _compiled_rows(program):
+    for target, offset, size, write in program.op_rows():
         base = _BASE_NAMES[target]
         addr = base if offset == 0 else "%s + %d" % (base, offset)
         pad(indent + "_c, _n = _access(_cid, %s, %d, %s)" % (addr, size, write))
@@ -145,13 +145,6 @@ def _emit_charges(program: ExecProgram, out: List[str], indent: str) -> None:
             pad(body_indent + "_c, _n = _analytic(_cid, %d)" % footprint)
             pad(body_indent + "cpu.core_cycles += _c")
             pad(body_indent + "cpu.uncore_ns += _n")
-
-
-def _compiled_rows(program: ExecProgram):
-    return tuple(
-        (TARGET_INDEX[op.target], op.offset, op.size, op.write)
-        for op in program.mem_ops
-    )
 
 
 def _emit_hoists(program: ExecProgram, out: List[str], indent: str) -> None:
@@ -174,7 +167,7 @@ def _emit_hoists(program: ExecProgram, out: List[str], indent: str) -> None:
 
 
 def _used_bases(program: ExecProgram) -> List[int]:
-    used = sorted({row[0] for row in _compiled_rows(program)})
+    used = sorted({row[0] for row in program.op_rows()})
     return [index for index in used if index < len(_REF_ATTRS)]
 
 

@@ -40,6 +40,15 @@ VALID_TARGETS = frozenset(
     {TARGET_PACKET_META, TARGET_PACKET_MBUF, TARGET_DESCRIPTOR, TARGET_STATE, TARGET_DATA}
 )
 
+#: Target tag -> index into the (meta, mbuf, descriptor, data, state) tuple.
+TARGET_INDEX = {
+    TARGET_PACKET_META: 0,
+    TARGET_PACKET_MBUF: 1,
+    TARGET_DESCRIPTOR: 2,
+    TARGET_DATA: 3,
+    TARGET_STATE: 4,
+}
+
 
 @dataclass(frozen=True)
 class MemOp:
@@ -63,6 +72,24 @@ class ExecProgram:
     random_ops: List[Tuple[int, int]] = field(default_factory=list)  # (footprint, count)
     pool_gets: int = 0
     pool_puts: int = 0
+
+    def op_rows(self) -> tuple:
+        """The memory ops as ``(target_index, offset, size, write)`` rows.
+
+        ``target_index`` indexes a ``(meta, mbuf, descriptor, data,
+        state)`` base-address tuple (:data:`TARGET_INDEX`).  Computed once
+        and cached on the program as ``_op_rows``, which the charging
+        loops read directly.
+        """
+        try:
+            return self._op_rows
+        except AttributeError:
+            rows = tuple(
+                (TARGET_INDEX[op.target], op.offset, op.size, op.write)
+                for op in self.mem_ops
+            )
+            self._op_rows = rows
+            return rows
 
     def memory_footprint_lines(self, target: str, line_size: int = 64) -> int:
         """Distinct lines this program touches in one target region."""

@@ -1,27 +1,29 @@
 """Execution of lowered cost programs against the hardware model.
 
-:func:`execute` charges one packet's worth of an :class:`ExecProgram` to a
-:class:`~repro.hw.cpu.CpuCore`: issue bandwidth for the instruction count,
-expected branch-miss penalties, and one cache-hierarchy access per memory
-op, with the op's target tag resolved to a concrete base address through
-the supplied :class:`Bindings`.
+A lowered :class:`ExecProgram` is charged to a
+:class:`~repro.hw.cpu.CpuCore` once per packet: issue bandwidth for the
+instruction count, expected branch-miss penalties, one cache-hierarchy
+access per memory op (the op's target tag resolved to a concrete base
+address), and the program's random accesses.
 
-Because ``execute`` runs once per packet per element, the per-op work is
-specialized: each program's memory ops are flattened once into a tuple of
-``(target_index, offset, size, write)`` rows (cached on the program), so
-the per-packet loop does tuple unpacking and an index into the base-address
-tuple instead of dataclass attribute lookups and string compares.  The
-sequence and arguments of the ``cpu`` charge calls are unchanged, so the
-specialization is bit-exact.
+The charging loop itself lives in the core, :meth:`CpuCore.charge
+<repro.hw.cpu.CpuCore.charge>`: it takes a program and one row of base
+addresses ``(meta, mbuf, descriptor, data, state)`` per packet, so the
+driver charges an element for a whole batch in one call.  Each program's
+memory ops are flattened once into ``(target_index, offset, size,
+write)`` rows (:meth:`ExecProgram.op_rows`, cached on the program), so
+the loop indexes the row tuple instead of walking dataclasses.
+:func:`execute_bases` is the one-packet entry (the PMD's RX/TX loops);
+:func:`execute` takes a :class:`Bindings` object.
 
 This module is also home to the **execution-tier API**.  The runtime has
-grown three bit-identical ways of charging a program:
+three bit-identical ways of charging a program:
 
 - :data:`ExecutionTier.INTERPRETER` -- walk the lowered ``MemOp``
-  dataclasses per packet (:func:`execute_interpreted`), the pre-PR4
-  reference semantics;
-- :data:`ExecutionTier.COMPILED` -- the cached op-tuple loop
-  (:func:`execute_bases`), the default;
+  dataclasses per packet with one ``cpu.mem_access`` call per op
+  (:func:`execute_interpreted`), the reference semantics;
+- :data:`ExecutionTier.COMPILED` -- the core's batch charger over the
+  cached op rows (:func:`execute_bases` per packet), the default;
 - :data:`ExecutionTier.CODEGEN` -- per-program generated Python
   (:mod:`repro.compiler.codegen`), constants and offsets baked into
   specialized source.
@@ -45,20 +47,12 @@ from typing import Optional, Union
 from repro.compiler.lower import (
     TARGET_DATA,
     TARGET_DESCRIPTOR,
+    TARGET_INDEX,
     TARGET_PACKET_MBUF,
     TARGET_PACKET_META,
     TARGET_STATE,
     ExecProgram,
 )
-
-#: Target tag -> index into the (meta, mbuf, descriptor, data, state) tuple.
-TARGET_INDEX = {
-    TARGET_PACKET_META: 0,
-    TARGET_PACKET_MBUF: 1,
-    TARGET_DESCRIPTOR: 2,
-    TARGET_DATA: 3,
-    TARGET_STATE: 4,
-}
 
 
 @dataclass
@@ -85,44 +79,14 @@ class Bindings:
         raise ValueError("unknown target %r" % target)
 
 
-def compiled_ops(program: ExecProgram):
-    """The program's memory ops as ``(target_index, offset, size, write)``
-    rows, computed once and cached on the program object."""
-    try:
-        return program._compiled_ops
-    except AttributeError:
-        ops = tuple(
-            (TARGET_INDEX[op.target], op.offset, op.size, op.write)
-            for op in program.mem_ops
-        )
-        program._compiled_ops = ops
-        return ops
-
-
 def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
                   descriptor: int, data: int, state: int) -> None:
     """Charge one packet's execution with the base addresses unpacked.
 
-    The fast entry point for the driver and PMD hot loops: no Bindings
-    object is materialized.  Identical charge sequence to :func:`execute`.
+    A one-row :meth:`~repro.hw.cpu.CpuCore.charge`: no Bindings object is
+    materialized.  Identical charge sequence to :func:`execute_interpreted`.
     """
-    cpu.charge_compute(program.instructions)
-    if program.branch_miss_expect:
-        cpu.charge_branch_miss(program.branch_miss_expect)
-    try:
-        ops = program._compiled_ops
-    except AttributeError:
-        ops = compiled_ops(program)
-    if ops:
-        bases = (meta, mbuf, descriptor, data, state)
-        mem_access = cpu.mem_access
-        for target, offset, size, write in ops:
-            mem_access(bases[target] + offset, size, write, 0.0)
-    if program.random_ops:
-        random_access = cpu.random_access
-        for footprint, count in program.random_ops:
-            for _ in range(count):
-                random_access(footprint, 0.0)
+    cpu.charge(program, ((meta, mbuf, descriptor, data, state),))
 
 
 def execute(cpu, program: ExecProgram, bindings: Bindings) -> None:
@@ -148,8 +112,9 @@ def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,
     """The reference interpreter: walk the lowered ops per packet.
 
     Resolves every :class:`~repro.compiler.lower.MemOp` through attribute
-    access and a target-tag dict lookup on each packet -- the pre-PR4
-    semantics the faster tiers must stay bit-identical to.
+    access and a target-tag dict lookup on each packet, and charges each
+    op with its own ``cpu.mem_access`` call -- the semantics the faster
+    tiers must stay bit-identical to.
     """
     cpu.charge_compute(program.instructions)
     if program.branch_miss_expect:
@@ -329,7 +294,6 @@ __all__ = [
     "TierSelection",
     "as_policy",
     "as_tier",
-    "compiled_ops",
     "execute",
     "execute_bases",
     "execute_interpreted",

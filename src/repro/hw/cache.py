@@ -25,8 +25,10 @@ class Cache:
 
     Tags are full line addresses (``addr // line_size``); each set maps
     line address -> DDIO flag, ordered least-recently-used first.  The
-    hardware model's hit path and DMA loop index ``_sets`` directly, so
-    the list and its sets are only ever cleared in place, never replaced.
+    memory walk, the batch charger's hit path and the DMA loops index
+    ``_sets`` and ``_ddio_count`` directly, so the lists and the sets are
+    only ever cleared in place, never replaced.  The per-line methods
+    below are the replacement policy those loops inline.
     """
 
     __slots__ = ("name", "size", "assoc", "line_size", "n_sets", "_sets",
@@ -45,9 +47,6 @@ class Cache:
         self._ddio_count: List[int] = [0] * self.n_sets
         self.hits = 0
         self.misses = 0
-
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr % self.n_sets
 
     def access(self, line_addr: int) -> bool:
         """Look up a line; on a hit, promote it to MRU.  Returns hit/miss."""
@@ -116,7 +115,7 @@ class Cache:
     def flush(self) -> None:
         for cset in self._sets:
             cset.clear()
-        self._ddio_count = [0] * self.n_sets
+        self._ddio_count[:] = [0] * self.n_sets
         self.reset_stats()
 
     def __repr__(self) -> str:
@@ -126,12 +125,11 @@ class Cache:
 class CacheHierarchy:
     """Per-core L1/L2 plus a shared LLC, with DDIO DMA fills.
 
-    ``lookup`` walks the hierarchy and back-fills inclusively; ``dma_write``
-    models the NIC writing packet data/descriptors straight into the LLC's
-    DDIO ways while invalidating stale copies in core-private levels.
+    Core loads walk these caches in :meth:`repro.hw.memory.MemorySystem.access`
+    (inclusive back-fill); :meth:`dma_write_lines` models the NIC writing
+    packet data/descriptors straight into the LLC's DDIO ways while
+    invalidating stale copies in core-private levels.
     """
-
-    L1, L2, LLC, DRAM = range(4)
 
     def __init__(self, params, n_cores: int = 1):
         self.params = params
@@ -141,26 +139,11 @@ class CacheHierarchy:
         self.l2 = [Cache("L2-%d" % c, params.l2_size, params.l2_assoc, params.cache_line)
                    for c in range(n_cores)]
         self.llc = Cache("LLC", params.llc_size, params.llc_assoc, params.cache_line)
-
-    def lookup(self, core: int, line_addr: int) -> int:
-        """Return the level that served the line and fill upper levels."""
-        if self.l1[core].access(line_addr):
-            return self.L1
-        if self.l2[core].access(line_addr):
-            self.l1[core].fill(line_addr)
-            return self.L2
-        if self.llc.access(line_addr):
-            self.l2[core].fill(line_addr)
-            self.l1[core].fill(line_addr)
-            return self.LLC
-        self.llc.fill(line_addr)
-        self.l2[core].fill(line_addr)
-        self.l1[core].fill(line_addr)
-        return self.DRAM
-
-    def dma_write(self, line_addr: int) -> None:
-        """NIC DMA of one line: DDIO-allocate in LLC, invalidate core copies."""
-        self.dma_write_lines(line_addr, line_addr)
+        # Every core's L1 and L2 sets, for DMA invalidation.  Only the LLC
+        # takes DDIO fills, so no private line is DDIO-flagged and dropping
+        # one leaves the DDIO counts alone.
+        self._private = [(cache._sets, cache.n_sets)
+                         for pair in zip(self.l1, self.l2) for cache in pair]
 
     def dma_write_lines(self, first_line: int, last_line: int) -> None:
         """NIC DMA of lines ``first_line..last_line``, in one loop.
@@ -171,10 +154,7 @@ class CacheHierarchy:
         both inlined: a frame carries ~17 lines, and the calls cost more
         than the work.
         """
-        # Only the LLC takes DDIO fills, so no private line is DDIO-flagged
-        # and dropping one leaves the DDIO counts alone.
-        private = [(cache._sets, cache.n_sets)
-                   for pair in zip(self.l1, self.l2) for cache in pair]
+        private = self._private
         llc = self.llc
         llc_sets = llc._sets
         llc_n_sets = llc.n_sets
@@ -203,15 +183,11 @@ class CacheHierarchy:
             cset[line_addr] = True
             ddio_count[idx] += 1
 
-    def dma_read(self, line_addr: int) -> bool:
-        """NIC DMA read (TX): served from LLC when resident.  Returns hit."""
-        return self.llc.access(line_addr)
-
     def dma_read_lines(self, first_line: int, last_line: int) -> None:
         """NIC DMA read of lines ``first_line..last_line``, in one loop.
 
-        The same LLC promotions and hit/miss counts as :meth:`dma_read`
-        per line, with :meth:`Cache.access` inlined.
+        Per line, the same LLC promotion and hit/miss count as
+        :meth:`Cache.access`, inlined.
         """
         llc = self.llc
         llc_sets = llc._sets

@@ -12,7 +12,11 @@ from collections import OrderedDict
 
 
 class _LruSet(OrderedDict):
-    """A fully-associative LRU set of page numbers with a capacity bound."""
+    """A fully-associative LRU set of page numbers with a capacity bound.
+
+    Least recently used first.  A hit moves the page to the end; a miss
+    appends it and drops the first page once ``capacity`` is exceeded.
+    """
 
     def __init__(self, capacity: int):
         super().__init__()
@@ -25,23 +29,18 @@ class _LruSet(OrderedDict):
         # the full hardware model).
         return (self.__class__, (self.capacity,), None, None, iter(self.items()))
 
-    def access(self, page: int) -> bool:
-        if page in self:
-            self.move_to_end(page)
-            return True
-        self[page] = True
-        if len(self) > self.capacity:
-            self.popitem(last=False)
-        return False
-
 
 class Tlb:
     """L1 DTLB backed by a unified STLB; misses cost a page-walk.
 
-    :meth:`repro.hw.cpu.CpuCore.mem_access` serves DTLB hits of L1-hit
-    loads without calling :meth:`access`; it promotes the page in
-    ``_dtlb`` and counts the access itself, so the set is only ever
-    cleared in place, never replaced.
+    The state and statistics of one core's translation: the DTLB and
+    STLB page sets and the access, DTLB-miss and walk counts.
+    Translation itself runs inside
+    :meth:`repro.hw.memory.MemorySystem.access` (DTLB, then STLB -- a hit
+    refills the DTLB for free -- then a ``tlb_walk_ns`` walk), and
+    :meth:`repro.hw.cpu.CpuCore.charge` serves DTLB hits of L1-hit loads
+    itself.  Both hold the sets directly, so they are only ever cleared
+    in place, never replaced.
     """
 
     def __init__(self, params):
@@ -51,17 +50,6 @@ class Tlb:
         self.dtlb_misses = 0
         self.walks = 0
         self.accesses = 0
-
-    def access(self, page: int) -> float:
-        """Translate one page; returns the exposed walk latency in ns."""
-        self.accesses += 1
-        if self._dtlb.access(page):
-            return 0.0
-        self.dtlb_misses += 1
-        if self._stlb.access(page):
-            return 0.0  # STLB hits refill the DTLB essentially for free
-        self.walks += 1
-        return self.params.tlb_walk_ns
 
     def reset_stats(self) -> None:
         self.dtlb_misses = 0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hw.cache import Cache, CacheHierarchy
+from repro.hw.cache import Cache
+from repro.hw.memory import AccessLevel, MemorySystem
 from repro.hw.params import MachineParams
 
 
@@ -116,53 +117,96 @@ class TestCache:
             assert cache.access(line)
 
 
+def level(mem, core, line_addr):
+    """The level that served one load of ``line_addr`` on ``core``."""
+    before = mem.counters[core].snapshot()
+    mem.access(core, line_addr * mem.params.cache_line, 1)
+    after = mem.counters[core].snapshot()
+    for name, served in (("l1_hits", AccessLevel.L1), ("l2_hits", AccessLevel.L2),
+                         ("llc_hits", AccessLevel.LLC),
+                         ("llc_misses", AccessLevel.DRAM)):
+        if after[name] > before[name]:
+            return served
+    raise AssertionError("no level served the load")
+
+
+def ddio_recount(cache):
+    return [sum(flags.values()) for flags in cache._sets]
+
+
 class TestCacheHierarchy:
-    def _hier(self, n_cores=1):
-        params = MachineParams()
-        return CacheHierarchy(params, n_cores)
+    """The hierarchy as :class:`MemorySystem` walks it."""
+
+    def _mem(self, n_cores=1):
+        return MemorySystem(MachineParams(), n_cores)
 
     def test_first_access_misses_to_dram(self):
-        hier = self._hier()
-        assert hier.lookup(0, 100) == CacheHierarchy.DRAM
+        mem = self._mem()
+        assert level(mem, 0, 100) == AccessLevel.DRAM
 
     def test_second_access_hits_l1(self):
-        hier = self._hier()
-        hier.lookup(0, 100)
-        assert hier.lookup(0, 100) == CacheHierarchy.L1
+        mem = self._mem()
+        level(mem, 0, 100)
+        assert level(mem, 0, 100) == AccessLevel.L1
 
     def test_l1_eviction_falls_back_to_l2(self):
-        hier = self._hier()
-        params = hier.params
+        mem = self._mem()
+        params = mem.params
         lines_in_l1 = params.l1_size // params.cache_line
-        hier.lookup(0, 0)
+        level(mem, 0, 0)
         # Thrash L1 with lines mapping across all sets, several times over.
         for line in range(1, lines_in_l1 * 3 + 1):
-            hier.lookup(0, line)
-        assert hier.lookup(0, 0) in (CacheHierarchy.L2, CacheHierarchy.LLC)
+            level(mem, 0, line)
+        assert level(mem, 0, 0) in (AccessLevel.L2, AccessLevel.LLC)
 
     def test_cross_core_sharing_via_llc(self):
-        hier = self._hier(n_cores=2)
-        hier.lookup(0, 42)
-        assert hier.lookup(1, 42) == CacheHierarchy.LLC
+        mem = self._mem(n_cores=2)
+        level(mem, 0, 42)
+        assert level(mem, 1, 42) == AccessLevel.LLC
 
     def test_dma_write_invalidates_core_caches(self):
-        hier = self._hier()
-        hier.lookup(0, 7)  # now in L1/L2/LLC
-        hier.dma_write(7)
+        mem = self._mem()
+        line = mem.params.cache_line
+        level(mem, 0, 7)  # now in L1/L2/LLC
+        mem.dma_write(7 * line, line)
         # The line must be served from LLC (DDIO), not stale L1.
-        assert hier.lookup(0, 7) == CacheHierarchy.LLC
+        assert level(mem, 0, 7) == AccessLevel.LLC
 
     def test_dma_read_hits_after_fill(self):
-        hier = self._hier()
-        hier.dma_write(13)
-        assert hier.dma_read(13)
+        mem = self._mem()
+        line = mem.params.cache_line
+        mem.dma_write(13 * line, line)
+        mem.dma_read(13 * line, line)
+        assert (mem.hierarchy.llc.hits, mem.hierarchy.llc.misses) == (1, 0)
 
     def test_dma_read_miss_when_absent(self):
-        hier = self._hier()
-        assert not hier.dma_read(999)
+        mem = self._mem()
+        line = mem.params.cache_line
+        mem.dma_read(999 * line, line)
+        assert (mem.hierarchy.llc.hits, mem.hierarchy.llc.misses) == (0, 1)
 
     def test_flush(self):
-        hier = self._hier()
-        hier.lookup(0, 5)
-        hier.flush()
-        assert hier.lookup(0, 5) == CacheHierarchy.DRAM
+        mem = self._mem()
+        level(mem, 0, 5)
+        mem.hierarchy.flush()
+        assert level(mem, 0, 5) == AccessLevel.DRAM
+
+    def test_flush_clears_ddio_counts_in_place(self):
+        """The walk and the DMA loop hold the LLC's DDIO counts directly,
+        so a flush must clear them, not replace them."""
+        params = MachineParams(llc_size=2048, llc_assoc=4, ddio_ways=2)
+        mem = MemorySystem(params)
+        llc = mem.hierarchy.llc
+        counts = llc._ddio_count
+        line = params.cache_line
+        mem.dma_write(0, 16 * line)
+        mem.flush()
+        assert llc._ddio_count is counts
+        assert counts == [0] * llc.n_sets
+        # DDIO fills, then plain fills that evict DDIO lines from the LLC.
+        mem.dma_write(0, 16 * line)
+        for line_addr in range(64, 96):
+            mem.access(0, line_addr * line, 8)
+        mem.dma_write(8 * line, 8 * line)
+        assert any(counts)
+        assert counts == ddio_recount(llc)

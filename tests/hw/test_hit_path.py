@@ -1,21 +1,32 @@
-"""The one-frame DTLB+L1 hit path and the one-loop DDIO writes and DMA
-reads against the per-call walks they shortcut.
+"""The batch charger's in-frame hit path, the one-loop DDIO writes and DMA
+reads, and pickling of a running core and memory system.
 
-Twin memory systems see the same operations.  On one, cores issue loads
-and stores through ``CpuCore.mem_access`` as built (hits served in the
-core's own frame); on the other, the core's hit path is removed, so every
-access takes ``MemorySystem.access``.  DMA on the reference twin applies
-the per-line primitives: for writes, ``Cache.invalidate`` on every private
-cache, then a DDIO ``Cache.fill`` of the LLC; for reads, ``Cache.access``
-on the LLC.  After every operation both twins
-must agree on core charges, counter snapshots, TLB and cache statistics,
-and the LRU order of every TLB and cache set.
+The hit path of :meth:`CpuCore.charge` is pinned here by call counts:
+L1/DTLB hits and same-line repeats never leave the charger's frame, and
+every other access makes exactly one ``mem_access`` call.  Its charges
+and state changes are compared against per-op charging in
+``tests/hw/test_charge_oracle.py``.
+
+For DMA, twin memory systems see the same operations.  On one, NIC DMA
+runs as built (one loop per frame); on the other, through the per-line
+primitives: for writes, ``Cache.invalidate`` on every private cache, then
+a DDIO ``Cache.fill`` of the LLC; for reads, ``Cache.access`` on the LLC.
+Core loads and stores are interleaved on both.  After every operation
+both twins must agree on core charges, counter snapshots, TLB and cache
+statistics, and the LRU order of every TLB and cache set.
 """
 
 import pickle
 
 import pytest
 
+from repro.compiler.lower import (
+    TARGET_DATA,
+    TARGET_PACKET_META,
+    TARGET_STATE,
+    ExecProgram,
+    MemOp,
+)
 from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
@@ -48,8 +59,6 @@ def twins(n_cores):
     ref_mem = MemorySystem(PARAMS, n_cores=n_cores)
     fast = [CpuCore(PARAMS, fast_mem, c) for c in range(n_cores)]
     ref = [CpuCore(PARAMS, ref_mem, c) for c in range(n_cores)]
-    for cpu in ref:
-        cpu._hit_path = None  # every access takes the full walk
     return (fast_mem, fast), (ref_mem, ref)
 
 
@@ -126,6 +135,7 @@ ops = st.lists(st.one_of(accesses, accesses, accesses, dmas, dmas, dma_reads,
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([1, 2]), ops)
 def test_hit_path_and_dma_match_per_call_walks(n_cores, plan):
+    """DMA loops against the per-line primitives, with core accesses."""
     (fast_mem, fast), (ref_mem, ref) = twins(n_cores)
     for op in plan:
         apply(op, fast_mem, fast, reference=False)
@@ -133,24 +143,49 @@ def test_hit_path_and_dma_match_per_call_walks(n_cores, plan):
         assert state(fast_mem, fast) == state(ref_mem, ref)
 
 
-def test_hits_stay_in_the_core_frame():
-    (mem, (cpu,)), _ = twins(1)
-    walks = []
+def counted_core(mem, core=0):
+    """A core whose ``mem_access`` calls and memory walks are recorded."""
+    cpu = CpuCore(PARAMS, mem, core)
+    entries, walks = [], []
+    single_access = cpu.mem_access
     full_walk = mem.access
 
-    def counted(*args):
-        walks.append(args)
-        return full_walk(*args)
+    def mem_access(addr, *args):
+        entries.append(addr)
+        single_access(addr, *args)
 
-    mem.access = counted
-    for _ in range(3):
-        for addr in (0x1000, 0x1008, DMA_BASE + 64, 0x1000 + 2 * LINE - 4):
-            cpu.mem_access(addr, 8)
-    # First touches and the line-crossing access walk; repeats hit.
-    assert [args[1] for args in walks] == [
-        0x1000, DMA_BASE + 64, 0x1000 + 2 * LINE - 4,
-        0x1000 + 2 * LINE - 4, 0x1000 + 2 * LINE - 4]
-    assert mem.counters[0].l1_hits > 0
+    def access(core, addr, *args):
+        walks.append(addr)
+        return full_walk(core, addr, *args)
+
+    cpu.mem_access = mem_access
+    mem.access = access
+    return cpu, entries, walks
+
+
+def test_hits_stay_in_the_core_frame():
+    mem = MemorySystem(PARAMS)
+    cpu, entries, walks = counted_core(mem)
+    crossing = 2 * LINE - 4
+    program = ExecProgram("p", mem_ops=[
+        MemOp(TARGET_PACKET_META, 0, 8),
+        MemOp(TARGET_PACKET_META, 8, 8),        # same line as the last op
+        MemOp(TARGET_DATA, 64, 8),              # hugepage DMA region
+        MemOp(TARGET_PACKET_META, crossing, 8),  # spans two lines
+        MemOp(TARGET_STATE, 0, 8),              # same line, other target
+    ])
+    row = (0x1000, 0, 0, DMA_BASE, 0x1000 + 2 * LINE)
+    cpu.charge(program, [row] * 3)
+    # First touches miss, and a line-crossing op always takes the walk;
+    # same-line repeats and L1/DTLB hits never leave the charger.
+    misses = [0x1000, DMA_BASE + 64, 0x1000 + crossing]
+    assert entries == misses + [0x1000 + crossing] * 2
+    assert walks == entries
+    hits = 3 * 5 - len(entries)
+    # Plus both lines of each repeated crossing, hits inside the walk.
+    assert mem.counters[0].l1_hits == hits + 4
+    # Every op touches one page.
+    assert mem.tlbs[0].accesses == hits + len(entries)
 
 
 def test_stand_in_memory_takes_its_own_access():
@@ -162,6 +197,13 @@ def test_stand_in_memory_takes_its_own_access():
     cpu.mem_access(0x40, 8, instructions=1.0)
     assert cpu.uncore_ns == 3.0
     assert cpu.core_cycles == 2.0 + 1.0 / PARAMS.issue_ipc
+    # The batch charger has no hit path for it: one access per op, even
+    # for a same-line repeat.
+    calls = []
+    cpu.mem.access = lambda *args: calls.append(args) or (0.0, 0.0)
+    program = ExecProgram("p", mem_ops=[MemOp(TARGET_STATE, 0, 8)] * 2)
+    cpu.charge(program, [(0, 0, 0, 0, 0x40)] * 2)
+    assert calls == [(0, 0x40, 8, False)] * 4
 
 
 def test_pickled_core_and_memory_continue_identically():
@@ -177,11 +219,17 @@ def test_pickled_core_and_memory_continue_identically():
     stream = [region.base + off for region in binary.space.regions
               for off in range(0, min(region.size, 512), 24)]
     assert any(addr >= DMA_BASE for addr in stream)
-    for addr in stream + stream:
+    program = ExecProgram("p", mem_ops=[MemOp(TARGET_STATE, 0, 8),
+                                        MemOp(TARGET_STATE, 4, 8)])
+    rows = [(0, 0, 0, 0, addr) for addr in stream + stream]
+    for addr in stream:
         clone_cpu.mem_access(addr, 8)
-    # The clone's hit path mutated the clone's memory, not the original's.
+    clone_cpu.charge(program, rows)
+    # The clone's walk and hit path mutated the clone's memory, not the
+    # original's.
     assert state(binary.mem, [binary.cpu]) == before
-    for addr in stream + stream:
+    for addr in stream:
         binary.cpu.mem_access(addr, 8)
+    binary.cpu.charge(program, rows)
     assert state(clone_mem, [clone_cpu]) == state(binary.mem, [binary.cpu])
     assert clone_mem.counters[0].l1_hits > before[1][0]["l1_hits"]

@@ -5,43 +5,58 @@ import pytest
 from repro.hw.cpu import CpuCore
 from repro.hw.memory import MemorySystem
 from repro.hw.params import MB, MachineParams
-from repro.hw.tlb import Tlb
+
+
+def page_access(mem, page):
+    """One load on 4 KB page ``page``; returns its uncore ns."""
+    return mem.access(0, page * mem.params.page_size, 8)[1]
 
 
 class TestTlb:
+    """Translation as :meth:`MemorySystem.access` runs it per page."""
+
     def test_first_access_walks(self):
-        tlb = Tlb(MachineParams())
-        assert tlb.access(1) > 0
-        assert tlb.walks == 1
+        mem = MemorySystem(MachineParams())
+        assert page_access(mem, 1) >= mem.params.tlb_walk_ns
+        assert mem.tlbs[0].walks == 1
 
     def test_second_access_free(self):
-        tlb = Tlb(MachineParams())
-        tlb.access(1)
-        assert tlb.access(1) == 0.0
-        assert tlb.walks == 1
+        mem = MemorySystem(MachineParams())
+        page_access(mem, 1)
+        assert page_access(mem, 1) == 0.0
+        assert mem.tlbs[0].walks == 1
 
     def test_dtlb_capacity_spill_to_stlb(self):
         params = MachineParams()
-        tlb = Tlb(params)
+        mem = MemorySystem(params)
+        tlb = mem.tlbs[0]
         for page in range(params.dtlb_entries + 10):
-            tlb.access(page)
+            page_access(mem, page)
         # Page 0 fell out of the DTLB but is still in the STLB: no walk.
         walks_before = tlb.walks
-        assert tlb.access(0) == 0.0
+        misses_before = tlb.dtlb_misses
+        page_access(mem, 0)
         assert tlb.walks == walks_before
+        assert tlb.dtlb_misses == misses_before + 1
+        assert 0 in tlb._dtlb
 
     def test_stlb_capacity_walk(self):
         params = MachineParams()
-        tlb = Tlb(params)
+        mem = MemorySystem(params)
+        tlb = mem.tlbs[0]
         for page in range(params.stlb_entries + 10):
-            tlb.access(page)
-        assert tlb.access(0) == params.tlb_walk_ns
+            page_access(mem, page)
+        walks_before = tlb.walks
+        page_access(mem, 0)
+        assert tlb.walks == walks_before + 1
 
     def test_flush(self):
-        tlb = Tlb(MachineParams())
-        tlb.access(1)
-        tlb.flush()
-        assert tlb.access(1) > 0
+        mem = MemorySystem(MachineParams())
+        page_access(mem, 1)
+        mem.tlbs[0].flush()
+        page_access(mem, 1)
+        assert mem.tlbs[0].walks == 1
+        assert mem.tlbs[0].dtlb_misses == 1
 
 
 class TestMemorySystem:
