@@ -7,10 +7,8 @@ fan-out), verifies the two produce byte-identical
 speedups, and execution-cache hit rates.
 
 Tier mode (``--tiers``, ``BENCH_PR7.json``): runs fig01/fig06 once per
-execution tier (interpreter / compiled / codegen via ``REPRO_TIER``),
-verifies every tier produces byte-identical payloads, and adds a hot-path
-microbenchmark timing the compiled op-tuple loop against the generated
-kernels over fig01's element programs.
+execution tier (the reference interpreter and the compiled tier, via
+``REPRO_TIER``) and verifies both produce byte-identical payloads.
 
 Shard mode (``--shards``, ``BENCH_PR9.json``): builds and measures the
 NAT on the sharded runtime at 1/2/4 cores, verifies the 1-core sharded
@@ -28,7 +26,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py            # full QUICK suite
     PYTHONPATH=src python benchmarks/run_bench.py --smoke    # CI subset, tiny scale
-    PYTHONPATH=src python benchmarks/run_bench.py --tiers    # per-tier timings
+    PYTHONPATH=src python benchmarks/run_bench.py --tiers    # tier identity + timings
     PYTHONPATH=src python benchmarks/run_bench.py --shards   # sharded-runtime timings
 
 Exits non-zero when any pair mismatches, so CI can gate on determinism.
@@ -45,8 +43,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.compiler import codegen
-from repro.compiler.runtime import execute_bases
 from repro.exec import cache as exec_cache
 from repro.exec.sweep import default_jobs
 from repro.experiments import (  # noqa: E402
@@ -107,70 +103,15 @@ def _hit_rate(stats, layer: str) -> float:
 def _timed_tier_run(mod, scale: Scale, tier: str):
     os.environ["REPRO_TIER"] = tier
     _reset_caches()
-    codegen.reset_stats()
     start = time.perf_counter()
     payload = mod.run(scale).to_json()
-    elapsed = time.perf_counter() - start
-    return payload, elapsed, codegen.stats()
-
-
-def _hot_path_microbench(repeats: int):
-    """Per-call cost of charging fig01's element programs one packet.
-
-    Times ``execute_bases`` (the compiled op-tuple tier) against the
-    generated scalar kernels over the same programs, bases, and shadow
-    core -- the per-packet work the driver's hot loop repeats millions of
-    times -- and returns the wall-clock ratio.
-    """
-    from repro.core.nfs import router
-    from repro.core.options import BuildOptions
-    from repro.core.packetmill import PacketMill
-    from repro.hw.params import MachineParams
-
-    _reset_caches()
-    binary = PacketMill(
-        router(), BuildOptions.packetmill(),
-        params=MachineParams().at_frequency(2.3),
-    ).build()
-    programs = list(binary.exec_programs.values())
-    kernels = [codegen.compile_program(p).scalar for p in programs]
-    meta, mbuf, descriptor, data, state = codegen._SHADOW_BASES
-
-    def time_loop(run_one):
-        cpu = codegen._shadow_cpu()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            run_one(cpu)
-        return time.perf_counter() - start, cpu
-
-    def compiled_once(cpu):
-        for program in programs:
-            execute_bases(cpu, program, meta, mbuf, descriptor, data, state)
-
-    def generated_once(cpu):
-        for kernel in kernels:
-            kernel(cpu, meta, mbuf, descriptor, data, state)
-
-    # Warm both paths (op-tuple caches, code objects), then time.
-    time_loop(compiled_once)
-    time_loop(generated_once)
-    compiled_s, compiled_cpu = time_loop(compiled_once)
-    codegen_s, codegen_cpu = time_loop(generated_once)
-    assert (codegen._shadow_state(compiled_cpu)
-            == codegen._shadow_state(codegen_cpu)), "hot-path state diverged"
-    return {
-        "programs": len(programs),
-        "repeats": repeats,
-        "compiled_s": round(compiled_s, 4),
-        "codegen_s": round(codegen_s, 4),
-        "speedup": round(compiled_s / codegen_s, 3) if codegen_s else None,
-    }
+    return payload, time.perf_counter() - start
 
 
 def run_tiers(args) -> int:
     scale = SMOKE_SCALE if args.smoke else QUICK
     experiments = (fig01, fig06)
-    tiers = ("interpreter", "compiled", "codegen")
+    tiers = ("interpreter", "compiled")
     jobs = default_jobs()
     report = {
         "suite": "tiers-smoke" if args.smoke else "tiers",
@@ -189,24 +130,12 @@ def run_tiers(args) -> int:
             payloads = {}
             entry = {}
             for tier in tiers:
-                payload, elapsed, codegen_stats = _timed_tier_run(
-                    mod, scale, tier)
-                payloads[tier] = payload
-                entry[tier] = {
-                    "wall_s": round(elapsed, 3),
-                    "codegen_compiles": codegen_stats["compiles"],
-                    "codegen_fallbacks": codegen_stats["fallbacks"],
-                }
-            match = payloads["interpreter"] == payloads["compiled"] \
-                == payloads["codegen"]
+                payloads[tier], elapsed = _timed_tier_run(mod, scale, tier)
+                entry[tier] = {"wall_s": round(elapsed, 3)}
+            match = payloads["interpreter"] == payloads["compiled"]
             if not match:
                 mismatches.append(name)
             entry["match"] = match
-            entry["codegen_vs_compiled"] = (
-                round(entry["compiled"]["wall_s"]
-                      / entry["codegen"]["wall_s"], 3)
-                if entry["codegen"]["wall_s"] else None
-            )
             report["experiments"][name] = entry
             print("%-8s " % name + "  ".join(
                 "%s %6.1fs" % (tier, entry[tier]["wall_s"]) for tier in tiers
@@ -217,21 +146,11 @@ def run_tiers(args) -> int:
         else:
             os.environ["REPRO_TIER"] = saved_tier
 
-    micro = _hot_path_microbench(repeats=2_000 if args.smoke else 20_000)
-    report["fig01_hot_path"] = micro
-    print("hot path: compiled %.4fs, codegen %.4fs (%.2fx over %d programs)"
-          % (micro["compiled_s"], micro["codegen_s"],
-             micro["speedup"] or 0.0, micro["programs"]))
-
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print("-> %s" % args.output)
     if mismatches:
         print("TIER IDENTITY FAILURE: payloads differ for %s" % mismatches,
               file=sys.stderr)
-        return 1
-    if micro["speedup"] is not None and micro["speedup"] < 1.2:
-        print("HOT PATH REGRESSION: codegen only %.2fx over compiled "
-              "(need >= 1.2x)" % micro["speedup"], file=sys.stderr)
         return 1
     return 0
 
@@ -350,8 +269,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI subset (fig01/fig06/fig10) at a tiny scale")
     parser.add_argument("--tiers", action="store_true",
-                        help="benchmark execution tiers (fig01/fig06 per "
-                             "tier + hot-path microbench)")
+                        help="gate tier identity: fig01/fig06 under the "
+                             "interpreter and the compiled tier")
     parser.add_argument("--shards", action="store_true",
                         help="benchmark the sharded runtime at 1/2/4 cores "
                              "(1-core identity gate + adaptive-steering "

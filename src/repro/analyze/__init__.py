@@ -12,8 +12,8 @@ Three cooperating checkers over the same IR the cost model executes:
 - the **constant propagation pass** (:mod:`repro.analyze.constprop`):
   path-sensitive abstract values per output port, propagated
   inter-element (``constant-branch``, ``redundant-check``); its dead
-  edges sharpen the dataflow and its proven facts feed the codegen
-  tier's dead-code elimination;
+  edges sharpen the dataflow and its proven facts prune dead charges
+  from the programs every execution tier runs;
 - the **lints** (:mod:`repro.analyze.lints`, :mod:`repro.analyze.purity`,
   :mod:`repro.analyze.sharding`):
   graph structure (unreachable elements, unconnected inputs, dangling

@@ -33,8 +33,8 @@ Elements opt in through three optional hooks (all default to "opaque"):
 Findings:
 
 - ``constant-branch`` (WARNING): an output port can never fire under the
-  facts flowing in -- dead configuration, and the codegen tier deletes
-  the arm;
+  facts flowing in -- dead configuration, and the build drops the arm's
+  charges when facts are on;
 - ``redundant-check`` (NOTE): a dispatch decided entirely by upstream
   facts (an arm always matches, or every term of its test is implied).
 """

@@ -16,17 +16,15 @@ Costs are charged from three sources per element visit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.click.element import Element
 from repro.click.graph import ProcessingGraph
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import (
     ExecutionTier,
     TierSelection,
-    as_policy,
     execute_bases,  # noqa: F401 -- perfbench's call counters patch this name
     execute_interpreted,
     select_tier,
@@ -277,11 +275,8 @@ class RouterDriver:
         injector=None,
         watchdog=None,
         telemetry: Optional[Telemetry] = None,
-        fastpath: Optional[bool] = None,
         qos_ports: Optional[Dict[int, "QosPort"]] = None,  # noqa: F821
         tier=None,
-        codegen: Optional[Dict[str, "_codegen.CompiledProgram"]] = None,
-        codegen_verify=None,
         layout_registry=None,
     ):
         self.graph = graph
@@ -308,20 +303,16 @@ class RouterDriver:
         # (select_tier).  The route-memo fast path memoizes the routing
         # decision of pure classification elements by class signature;
         # charges are never replayed, so the simulated run is
-        # bit-identical.  Both it and the generated-code tier self-disable
-        # (fall back) when the run is instrumented: faults/watchdog demote
-        # codegen to the compiled tier, and telemetry additionally parks
-        # the route memo, where packets must stay individually observable
-        # end to end.  PacketMill passes a pre-resolved TierSelection;
-        # standalone constructions resolve policy/env here.
+        # bit-identical.  It parks itself when the run is instrumented
+        # (faults, watchdog or telemetry), where packets must stay
+        # individually observable end to end.  PacketMill passes a
+        # pre-resolved TierSelection; standalone constructions resolve
+        # policy/env here.
         if isinstance(tier, TierSelection):
             selection = tier
         else:
-            policy = as_policy(tier)
-            if fastpath is not None and policy.route_memo is None:
-                policy = replace(policy, route_memo=bool(fastpath))
             selection = select_tier(
-                policy,
+                tier,
                 faults=injector is not None,
                 watchdog=watchdog is not None,
                 telemetry=telemetry.enabled,
@@ -329,20 +320,7 @@ class RouterDriver:
         self.tier_selection = selection
         self.tier = selection.tier
         self.fastpath = selection.route_memo
-        _codegen.record_tier(selection.tier.value)
-        if selection.demoted:
-            _codegen.record_fallback()
         self._interpret = selection.tier is ExecutionTier.INTERPRETER
-        self._codegen_verify = codegen_verify
-        self._check_codegen = selection.check
-        # element name -> generated batch kernel, False once compilation
-        # failed (that element stays on the compiled tier).
-        self._batch_fns: Optional[Dict[str, object]] = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            self._batch_fns = {}
-            if codegen:
-                for name, compiled in codegen.items():
-                    self._batch_fns[name] = compiled.batch
         self._layout_registry = layout_registry
         if self.fastpath:
             # The fast path trusts pure_process annotations to skip
@@ -466,26 +444,6 @@ class RouterDriver:
             if attribution is not None:
                 attribution.sync("element." + element.name)
 
-    def _batch_kernel(self, name: str, program: ExecProgram):
-        """The generated batch kernel for one element, compiled lazily.
-
-        PacketMill pre-compiles (and IR-verifies) every element at build
-        time; this path covers directly constructed drivers.  A compile
-        failure parks the element on the compiled tier for good and
-        counts one fallback.
-        """
-        try:
-            compiled = _codegen.compile_program(
-                program, verify=self._codegen_verify, check=self._check_codegen
-            )
-        except _codegen.CodegenError:
-            _codegen.record_fallback()
-            self._batch_fns[name] = False
-            return False
-        fn = compiled.batch
-        self._batch_fns[name] = fn
-        return fn
-
     def _charge_element(self, element: Element, batch: List) -> None:
         attribution = self.attribution
         if attribution is not None:
@@ -495,15 +453,6 @@ class RouterDriver:
             program = self.exec_programs[element.name]
             state = element.state_region.base if element.state_region else 0
             cpu = self.cpu
-            batch_fns = self._batch_fns
-            if batch_fns is not None:
-                fn = batch_fns.get(element.name)
-                if fn is None:
-                    fn = self._batch_kernel(element.name, program)
-                if fn is not False:
-                    # Generated-code tier: one call charges the batch.
-                    fn(cpu, batch, state)
-                    return
             if self._interpret:
                 for pkt in batch:
                     ref = pkt.mbuf

@@ -146,13 +146,9 @@ def _class_handlers(element) -> Dict[str, Handler]:
 
 
 #: Virtual handler prefix exposing the process-wide execution caches
-#: (build/trace/codegen/point memoization) alongside the per-element
+#: (build/trace/point memoization) alongside the per-element
 #: handlers.
 EXEC_CACHE_PREFIX = "exec.cache."
-
-#: Virtual handler prefix for the generated-code execution tier's
-#: process-wide counters (compiles, memo hits, self-checks, fallbacks).
-EXEC_CODEGEN_PREFIX = "exec.codegen."
 
 
 def _exec_cache_counters() -> Dict[str, int]:
@@ -161,17 +157,10 @@ def _exec_cache_counters() -> Dict[str, int]:
     return exec_cache.stats()
 
 
-def _exec_codegen_counters() -> Dict[str, int]:
-    from repro.compiler import codegen
-
-    return codegen.stats()
-
-
 #: The virtual (process-wide) namespaces served by every broker:
 #: prefix -> snapshot provider.
 VIRTUAL_NAMESPACES = (
     (EXEC_CACHE_PREFIX, _exec_cache_counters),
-    (EXEC_CODEGEN_PREFIX, _exec_codegen_counters),
 )
 
 

@@ -12,11 +12,10 @@ field a byte offset, so the LTO field-reordering pass has its real effect:
 hot fields migrate into the first cache line and fewer lines are loaded
 per packet.
 
-Execution happens through one of three bit-identical tiers behind the
+Execution happens through one of two bit-identical tiers behind the
 :class:`~repro.compiler.runtime.ExecutionTier` API: the lowered-op
-interpreter, the cached op-tuple loop, or per-program generated Python
-(:mod:`repro.compiler.codegen`) with constants and offsets baked in --
-the runtime analogue of the paper's source-code specialization.
+reference interpreter, or the core's batch charger over cached op rows
+(the default).
 """
 
 from repro.compiler.runtime import (

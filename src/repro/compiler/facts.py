@@ -15,13 +15,11 @@ proven; it only knows how to
   (:func:`facts_between`), and
 - replay it onto a program (:meth:`ProgramFacts.apply`), producing the
   pruned ExecProgram every tier then runs -- the interpreter stays the
-  ground truth because all three tiers execute the *same* pruned
-  program, and codegen's compile-time self-check replays generated
-  kernels against the interpreter on exactly that program.
+  ground truth because both tiers execute the *same* pruned program.
 
 Layering: ``repro.compiler`` sits below ``repro.analyze``; the analyzer
 imports this module, never the other way around.  The dataclass is
-frozen and tuple-backed so build caches can key on it.
+frozen and tuple-backed, so a facts delta is a plain value.
 """
 
 from __future__ import annotations
@@ -182,22 +180,8 @@ def facts_between(
     )
 
 
-def facts_signature(program_facts) -> tuple:
-    """A hashable fingerprint of a ``{element: ProgramFacts}`` map.
-
-    ``None`` (or an empty map) signs as ``None`` so facts-off builds key
-    identically to pre-facts builds -- cache entries stay shared.
-    """
-    if not program_facts:
-        return None
-    return tuple(sorted(
-        (name, facts) for name, facts in program_facts.items()
-    ))
-
-
 __all__ = [
     "FactsError",
     "ProgramFacts",
     "facts_between",
-    "facts_signature",
 ]

@@ -13,98 +13,45 @@ driver charges an element for a whole batch in one call.  Each program's
 memory ops are flattened once into ``(target_index, offset, size,
 write)`` rows (:meth:`ExecProgram.op_rows`, cached on the program), so
 the loop indexes the row tuple instead of walking dataclasses.
-:func:`execute_bases` is the one-packet entry (the PMD's RX/TX loops);
-:func:`execute` takes a :class:`Bindings` object.
+:func:`execute_bases` is the one-packet entry (the PMD's RX/TX loops).
 
 This module is also home to the **execution-tier API**.  The runtime has
-three bit-identical ways of charging a program:
+two bit-identical ways of charging a program:
 
 - :data:`ExecutionTier.INTERPRETER` -- walk the lowered ``MemOp``
   dataclasses per packet with one ``cpu.mem_access`` call per op
   (:func:`execute_interpreted`), the reference semantics;
 - :data:`ExecutionTier.COMPILED` -- the core's batch charger over the
-  cached op rows (:func:`execute_bases` per packet), the default;
-- :data:`ExecutionTier.CODEGEN` -- per-program generated Python
-  (:mod:`repro.compiler.codegen`), constants and offsets baked into
-  specialized source.
+  cached op rows (:func:`execute_bases` per packet), the default.
 
 :func:`select_tier` is the one place tier and fast-path guard decisions
 are made: callers describe their instrumentation (faults, watchdog,
 telemetry) and get back a :class:`TierSelection` with the effective tier
 and whether the route-memoization fast path may engage.  ``REPRO_TIER``
 picks the requested tier per process; ``REPRO_ROUTE_MEMO`` governs the
-fast path (``REPRO_FASTPATH`` remains a deprecated alias).
+fast path.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.compiler.lower import (
-    TARGET_DATA,
-    TARGET_DESCRIPTOR,
-    TARGET_INDEX,
-    TARGET_PACKET_MBUF,
-    TARGET_PACKET_META,
-    TARGET_STATE,
-    ExecProgram,
-)
-
-
-@dataclass
-class Bindings:
-    """Base addresses the per-packet program's targets resolve to."""
-
-    packet_meta: int = 0
-    packet_mbuf: int = 0
-    descriptor: int = 0
-    data: int = 0
-    state: int = 0
-
-    def base_of(self, target: str) -> int:
-        if target == TARGET_PACKET_META:
-            return self.packet_meta
-        if target == TARGET_PACKET_MBUF:
-            return self.packet_mbuf
-        if target == TARGET_DESCRIPTOR:
-            return self.descriptor
-        if target == TARGET_DATA:
-            return self.data
-        if target == TARGET_STATE:
-            return self.state
-        raise ValueError("unknown target %r" % target)
+from repro.compiler.lower import TARGET_INDEX, ExecProgram
 
 
 def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
                   descriptor: int, data: int, state: int) -> None:
     """Charge one packet's execution with the base addresses unpacked.
 
-    A one-row :meth:`~repro.hw.cpu.CpuCore.charge`: no Bindings object is
-    materialized.  Identical charge sequence to :func:`execute_interpreted`.
+    A one-row :meth:`~repro.hw.cpu.CpuCore.charge`.  Instruction counts
+    for memory/pool ops were already folded into ``program.instructions``
+    during lowering, so the accesses themselves charge latency only.
+    Identical charge sequence to :func:`execute_interpreted`.
     """
     cpu.charge(program, ((meta, mbuf, descriptor, data, state),))
-
-
-def execute(cpu, program: ExecProgram, bindings: Bindings) -> None:
-    """Charge one packet's execution of ``program`` to ``cpu``.
-
-    Instruction counts for memory/pool ops were already folded into
-    ``program.instructions`` during lowering, so the accesses themselves
-    charge latency only.
-    """
-    execute_bases(
-        cpu,
-        program,
-        bindings.packet_meta,
-        bindings.packet_mbuf,
-        bindings.descriptor,
-        bindings.data,
-        bindings.state,
-    )
 
 
 def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,
@@ -113,8 +60,8 @@ def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,
 
     Resolves every :class:`~repro.compiler.lower.MemOp` through attribute
     access and a target-tag dict lookup on each packet, and charges each
-    op with its own ``cpu.mem_access`` call -- the semantics the faster
-    tiers must stay bit-identical to.
+    op with its own ``cpu.mem_access`` call -- the semantics the compiled
+    tier must stay bit-identical to.
     """
     cpu.charge_compute(program.instructions)
     if program.branch_miss_expect:
@@ -136,15 +83,7 @@ class ExecutionTier(enum.Enum):
 
     INTERPRETER = "interpreter"
     COMPILED = "compiled"
-    CODEGEN = "codegen"
 
-
-#: Escalation order; falling back means moving left.
-TIER_ORDER = (
-    ExecutionTier.INTERPRETER,
-    ExecutionTier.COMPILED,
-    ExecutionTier.CODEGEN,
-)
 
 DEFAULT_TIER = ExecutionTier.COMPILED
 
@@ -160,7 +99,7 @@ def as_tier(value: Union[None, str, "ExecutionTier"]) -> Optional[ExecutionTier]
     except ValueError:
         raise ValueError(
             "unknown execution tier %r (expected %s)"
-            % (value, "/".join(t.value for t in TIER_ORDER))
+            % (value, "/".join(t.value for t in ExecutionTier))
         ) from None
 
 
@@ -172,31 +111,11 @@ def tier_from_env() -> Optional[ExecutionTier]:
     return as_tier(raw)
 
 
-_fastpath_env_warned = False
-
-
 def route_memo_from_env() -> bool:
-    """Whether the packet-class route-memo fast path is requested.
-
-    ``REPRO_ROUTE_MEMO`` is the current gate; ``REPRO_FASTPATH`` keeps
-    working as a deprecated alias with a one-time warning.
-    """
+    """Whether the packet-class route-memo fast path is requested
+    (``REPRO_ROUTE_MEMO``, default on)."""
     value = os.environ.get("REPRO_ROUTE_MEMO")
-    if value is not None:
-        return value.lower() not in _OFF_VALUES
-    legacy = os.environ.get("REPRO_FASTPATH")
-    if legacy is not None:
-        global _fastpath_env_warned
-        if not _fastpath_env_warned:
-            _fastpath_env_warned = True
-            warnings.warn(
-                "REPRO_FASTPATH is deprecated; use REPRO_ROUTE_MEMO or "
-                "TierPolicy(route_memo=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return legacy.lower() not in _OFF_VALUES
-    return True
+    return value is None or value.lower() not in _OFF_VALUES
 
 
 @dataclass(frozen=True)
@@ -206,23 +125,23 @@ class TierPolicy:
     - ``tier``: requested :class:`ExecutionTier` (``REPRO_TIER``,
       default :data:`DEFAULT_TIER`);
     - ``route_memo``: allow the pure-classifier route-memoization fast
-      path (``REPRO_ROUTE_MEMO``, default on);
-    - ``check``: replay generated kernels against the interpreter at
-      compile time (``REPRO_TIER_CHECK``, default on).
+      path (``REPRO_ROUTE_MEMO``, default on).
     """
 
     tier: Union[None, str, ExecutionTier] = None
     route_memo: Optional[bool] = None
-    check: Optional[bool] = None
 
 
 @dataclass(frozen=True)
 class TierSelection:
-    """The effective execution decisions for one driver/PMD build."""
+    """The effective execution decisions for one driver/PMD build.
+
+    The requested tier always runs, so ``demoted``/``reason`` are always
+    ``False``/``""``; run reports still record them.
+    """
 
     tier: ExecutionTier
     route_memo: bool
-    check: bool
     requested: ExecutionTier
     demoted: bool = False
     reason: str = ""
@@ -246,55 +165,30 @@ def select_tier(
 ) -> TierSelection:
     """Resolve the effective tier and fast-path guards for one build.
 
-    The single replacement for the scattered ``REPRO_FASTPATH`` checks:
-
-    - the generated-code tier self-disables (falls back to the compiled
-      tier) when fault injection or watchdog recovery is active, exactly
-      like the PR 4 fast path -- instrumented runs keep the battle-tested
-      interpreter loops;
-    - the route-memo fast path additionally requires telemetry recorders
-      to be off, because memoized routes skip per-packet ``process()``
-      observation.
+    The requested tier always runs; the route-memo fast path requires the
+    run to be uninstrumented (no faults, watchdog or telemetry recorders),
+    because memoized routes skip per-packet ``process()`` observation.
     """
     policy = as_policy(policy)
     requested = as_tier(policy.tier)
     if requested is None:
         requested = tier_from_env() or DEFAULT_TIER
-    tier = requested
-    demoted = False
-    reason = ""
-    if tier is ExecutionTier.CODEGEN and (faults or watchdog):
-        tier = ExecutionTier.COMPILED
-        demoted = True
-        reason = "faults" if faults else "watchdog"
     route_memo = policy.route_memo
     if route_memo is None:
         route_memo = route_memo_from_env()
     route_memo = bool(route_memo and not (faults or watchdog or telemetry))
-    check = policy.check
-    if check is None:
-        check = os.environ.get("REPRO_TIER_CHECK", "").lower() not in _OFF_VALUES
-    return TierSelection(
-        tier=tier,
-        route_memo=route_memo,
-        check=bool(check),
-        requested=requested,
-        demoted=demoted,
-        reason=reason,
-    )
+    return TierSelection(tier=requested, route_memo=route_memo,
+                         requested=requested)
 
 
 __all__ = [
-    "Bindings",
     "DEFAULT_TIER",
     "ExecutionTier",
-    "TIER_ORDER",
     "TARGET_INDEX",
     "TierPolicy",
     "TierSelection",
     "as_policy",
     "as_tier",
-    "execute",
     "execute_bases",
     "execute_interpreted",
     "route_memo_from_env",

@@ -19,7 +19,6 @@ Stages, mirroring the figure:
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.click.driver import (
@@ -30,10 +29,9 @@ from repro.click.driver import (
     RouterDriver,
 )
 from repro.click.graph import ProcessingGraph
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import lower
 from repro.compiler.passes import reorder_metadata
-from repro.compiler.runtime import ExecutionTier, as_policy, select_tier
+from repro.compiler.runtime import as_policy, select_tier
 from repro.compiler.structlayout import LayoutRegistry
 from repro.core.binary import SpecializedBinary
 from repro.core.options import BuildOptions, MetadataModel
@@ -118,7 +116,7 @@ class PacketMill:
         self.watchdog_threshold = profile.watchdog_threshold
         # Execution-tier policy (None defers to REPRO_TIER / defaults);
         # resolved per core at build time, when the instrumentation that
-        # can demote a tier (faults, watchdog, telemetry) is known.
+        # parks the route memo (faults, watchdog, telemetry) is known.
         self.tier_policy = as_policy(profile.tier)
         # RSS sharding: n_cores > 1 makes build_runtime() return an
         # N-replica ShardedRuntime; rss carries the steering knobs.
@@ -225,30 +223,6 @@ class PacketMill:
         from repro.compiler.pipeline import PassManager
 
         return PassManager.from_options(self.options)
-
-    @staticmethod
-    def _codegen_verifier(registry: LayoutRegistry):
-        """The IR verifier as a codegen ``verify`` hook.
-
-        Built here because ``repro.compiler`` sits below ``repro.analyze``
-        in the layering; codegen itself only receives an opaque callable
-        and runs it before every generation.
-        """
-        from repro.analyze.findings import ERROR
-        from repro.analyze.verifier import verify_exec_program
-
-        def verify(program):
-            findings = [
-                f for f in verify_exec_program(program, registry)
-                if f.severity == ERROR
-            ]
-            if findings:
-                raise _codegen.CodegenError(
-                    "IR verification refused codegen of %r:\n%s"
-                    % (program.name, "\n".join(str(f) for f in findings))
-                )
-
-        return verify
 
     def _compute_facts(self, pass_manager, registry):
         """The memoized ``({element: ProgramFacts}, constprop stats)`` pair.
@@ -515,47 +489,6 @@ class PacketMill:
             watchdog=watchdog is not None,
             telemetry=telemetry.enabled,
         )
-        codegen_verify = None
-        codegen_map = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            codegen_verify = self._codegen_verifier(registry)
-            codegen_map = exec_cache.lookup_codegen(
-                self.config, options, params, facts=program_facts)
-            if codegen_map is None:
-                try:
-                    # The facts kwarg is passed only for elements that
-                    # actually have facts: codegen prunes, compiles, and
-                    # self-checks those against the interpreter on the
-                    # pruned program -- the same program the driver runs.
-                    codegen_map = {}
-                    for name, program in exec_programs.items():
-                        pf = (program_facts or {}).get(name)
-                        if pf is not None:
-                            codegen_map[name] = _codegen.compile_program(
-                                program, verify=codegen_verify,
-                                check=selection.check, facts=pf,
-                            )
-                        else:
-                            codegen_map[name] = _codegen.compile_program(
-                                program, verify=codegen_verify,
-                                check=selection.check,
-                            )
-                except _codegen.CodegenError:
-                    # One unverifiable element demotes the whole build:
-                    # tiers are all-or-nothing per binary so the settled
-                    # tier is meaningful in reports.  The driver counts
-                    # the demotion (it sees ``demoted``).
-                    selection = replace(
-                        selection, tier=ExecutionTier.COMPILED,
-                        demoted=True, reason="codegen compile failed",
-                    )
-                    codegen_map = None
-                else:
-                    exec_cache.store_codegen(
-                        self.config, options, params, codegen_map,
-                        facts=program_facts,
-                    )
-
         pmds: Dict[int, MlxPmd] = {}
         for port in ports:
             trace = self._trace_factory(port, core_id)
@@ -569,7 +502,6 @@ class PacketMill:
                 vectorized=options.vectorized_pmd,
                 pgo=options.pgo,
                 tier=selection,
-                codegen_verify=codegen_verify,
             )
 
         # -- QoS buffer pools (absent unless a config was given) ---------------
@@ -599,7 +531,7 @@ class PacketMill:
             graph, cpu, params, run_programs, dispatch, pmds, burst=self.burst,
             injector=injector, watchdog=watchdog, telemetry=telemetry,
             qos_ports=qos_ports or None,
-            tier=selection, codegen=codegen_map, codegen_verify=codegen_verify,
+            tier=selection,
             layout_registry=registry,
         )
         binary = SpecializedBinary(

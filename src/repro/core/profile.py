@@ -9,7 +9,7 @@ can be stored, compared, and passed around:
         options=BuildOptions.packetmill(),
         params=MachineParams(freq_ghz=2.3),
         telemetry=TelemetryConfig(),
-        tier="codegen",
+        tier="interpreter",
     )
     binary = PacketMill.from_profile(config, profile).build()
 

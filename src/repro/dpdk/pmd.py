@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import ExecProgram, lower
 from repro.compiler.passes import inline_calls, profile_guided, vectorize
 from repro.compiler.runtime import (
@@ -48,7 +47,6 @@ class MlxPmd:
         vectorized: bool = False,
         pgo: bool = False,
         tier=None,
-        codegen_verify=None,
     ):
         self.nic = nic
         self.model = model
@@ -70,32 +68,13 @@ class MlxPmd:
         self.tx_exec: ExecProgram = lower(tx_ir, registry)
         # Execution tier: PacketMill passes its resolved TierSelection so
         # PMDs and driver always agree; standalone PMDs resolve from the
-        # policy/environment, demoting codegen if a fault injector is
-        # already bound to the NIC.
+        # policy/environment.
         if isinstance(tier, TierSelection):
             selection = tier
         else:
-            selection = select_tier(
-                tier, faults=getattr(nic, "faults", None) is not None
-            )
+            selection = select_tier(tier)
         self.tier = selection.tier
         self._interpret = selection.tier is ExecutionTier.INTERPRETER
-        # Generated scalar kernels for the RX/TX conversion programs; a
-        # compile failure falls back to the compiled op-tuple tier.
-        self._rx_fn = self._tx_fn = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            try:
-                self._rx_fn = _codegen.compile_program(
-                    self.rx_exec, verify=codegen_verify,
-                    check=selection.check,
-                ).scalar
-                self._tx_fn = _codegen.compile_program(
-                    self.tx_exec, verify=codegen_verify,
-                    check=selection.check,
-                ).scalar
-            except _codegen.CodegenError:
-                _codegen.record_fallback()
-                self._rx_fn = self._tx_fn = None
         # Optional repro.telemetry.SpanRecorder; when bound, rx_burst
         # brackets its DMA and conversion stages as nested spans.
         self.spans = None
@@ -131,7 +110,6 @@ class MlxPmd:
             spans.pop()
             spans.push("convert")
         out: List[Packet] = []
-        rx_fn = self._rx_fn
         interpret = self._interpret
         for ref, pkt in delivered:
             if pkt.rx_error is not None:
@@ -160,10 +138,7 @@ class MlxPmd:
                 self.cpu.prefetch(ref.mbuf_addr, 128)
             self.cpu.prefetch(ref.meta_addr, 128)
             self.cpu.prefetch(ref.data_addr, 128)
-            if rx_fn is not None:
-                rx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, ref.cqe_addr,
-                      ref.data_addr, 0)
-            elif interpret:
+            if interpret:
                 execute_interpreted(self.cpu, self.rx_exec, ref.meta_addr,
                                     ref.mbuf_addr, ref.cqe_addr,
                                     ref.data_addr, 0)
@@ -188,7 +163,6 @@ class MlxPmd:
         self.cpu.charge_compute(BURST_OVERHEAD_INSTRUCTIONS)
         injector = self.nic.faults
         blocked = injector is not None and injector.tx_blocked(self.nic.port)
-        tx_fn = self._tx_fn
         interpret = self._interpret
         sent = 0
         for pkt in packets:
@@ -201,10 +175,7 @@ class MlxPmd:
                 self.nic.counters.tx_full += len(packets) - sent
                 break
             wqe_addr = self.nic.transmit(ref, len(pkt))
-            if tx_fn is not None:
-                tx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, wqe_addr,
-                      ref.data_addr, 0)
-            elif interpret:
+            if interpret:
                 execute_interpreted(self.cpu, self.tx_exec, ref.meta_addr,
                                     ref.mbuf_addr, wqe_addr, ref.data_addr, 0)
             else:

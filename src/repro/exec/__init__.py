@@ -1,7 +1,7 @@
 """Execution infrastructure: content-keyed caches and the parallel sweep
 engine the experiment suite runs on.
 
-- :mod:`repro.exec.cache` -- build/trace/codegen/point caches with
+- :mod:`repro.exec.cache` -- build/trace/point caches with
   hit/miss counters exposed under ``exec.cache.*``.
 - :mod:`repro.exec.sweep` -- picklable sweep points and the
   :class:`~repro.exec.sweep.SweepEngine` process-pool fan-out.

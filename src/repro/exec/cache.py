@@ -1,6 +1,6 @@
 """Content-keyed caches for the experiment suite.
 
-Four layers, each bit-exact by construction:
+Three layers, each bit-exact by construction:
 
 - **Trace cache.**  Building a trace generator costs a pool of a couple
   thousand serialized frames.  The pool, the flow population, and the
@@ -21,12 +21,6 @@ Four layers, each bit-exact by construction:
   it only scales time, never code: that is what lets a frequency sweep
   compile once.
 
-- **Codegen cache.**  The generated-code tier's per-build artifact map
-  (``{element: CompiledProgram}``) is a pure function of the same key as
-  the build cache -- generated source bakes in offsets and charge
-  constants, never the frequency -- so replica cores and sweep siblings
-  under ``REPRO_TIER=codegen`` compile each element once per process.
-
 - **Point cache.**  A whole measured sweep point
   (:class:`repro.exec.sweep.PointSpec` -> :class:`ThroughputPoint`) is
   deterministic in its spec, so repeated points (Table 1 reuses Fig. 4's
@@ -39,8 +33,7 @@ any :class:`~repro.click.handlers.HandlerBroker` under the virtual
 
 Environment gates (checked per call, so tests can flip them):
 ``REPRO_CACHE=0`` disables every layer; ``REPRO_TRACE_CACHE=0``,
-``REPRO_BUILD_CACHE=0``, ``REPRO_CODEGEN_CACHE=0``, and
-``REPRO_POINT_CACHE=0`` disable one.
+``REPRO_BUILD_CACHE=0``, and ``REPRO_POINT_CACHE=0`` disable one.
 """
 
 from __future__ import annotations
@@ -63,8 +56,6 @@ _BUILD_HITS = REGISTRY.counter("build_hits")
 _BUILD_MISSES = REGISTRY.counter("build_misses")
 _POINT_HITS = REGISTRY.counter("point_hits")
 _POINT_MISSES = REGISTRY.counter("point_misses")
-_CODEGEN_HITS = REGISTRY.counter("codegen_hits")
-_CODEGEN_MISSES = REGISTRY.counter("codegen_misses")
 
 _OFF = ("0", "false", "off", "no")
 
@@ -208,42 +199,6 @@ def store_build(config: str, options, params, registry, exec_programs) -> None:
     )
 
 
-# -- codegen cache -------------------------------------------------------------
-
-_codegen_cache: Dict[tuple, Dict[str, object]] = {}
-
-
-def lookup_codegen(config: str, options, params, facts=None):
-    """Cached ``{element: CompiledProgram}`` map for a build, if any.
-
-    ``facts`` is the build's ``{element: ProgramFacts}`` map (or ``None``)
-    -- facts-specialized kernels charge differently, so they key
-    separately; an empty map keys identically to ``None``.
-    """
-    if not enabled("codegen"):
-        return None
-    key = (config, options, params_signature(params), _facts_key(facts))
-    compiled = _codegen_cache.get(key)
-    if compiled is None:
-        _CODEGEN_MISSES.add(1)
-        return None
-    _CODEGEN_HITS.add(1)
-    return compiled
-
-
-def store_codegen(config: str, options, params, compiled, facts=None) -> None:
-    if not enabled("codegen"):
-        return
-    key = (config, options, params_signature(params), _facts_key(facts))
-    _codegen_cache[key] = compiled
-
-
-def _facts_key(facts):
-    from repro.compiler.facts import facts_signature
-
-    return facts_signature(facts)
-
-
 # -- point cache ---------------------------------------------------------------
 
 _point_cache: Dict[object, object] = {}
@@ -272,7 +227,6 @@ def reset_caches() -> None:
     """Drop every cached artifact and zero the counters (tests, benches)."""
     _trace_cache.clear()
     _build_cache.clear()
-    _codegen_cache.clear()
     _point_cache.clear()
     REGISTRY.reset()
 

@@ -32,10 +32,7 @@ class CpuCore:
         self.params = params
         self.mem = mem
         self.core_id = core_id
-        # Stand-in memory systems (the codegen self-check's) have no hit
-        # path; every access of theirs goes through ``mem.access``.
-        self._hit_path = (mem.hit_path(core_id)
-                          if isinstance(mem, MemorySystem) else None)
+        self._hit_path = mem.hit_path(core_id)
         self.instructions = 0.0
         self.core_cycles = 0.0
         self.uncore_ns = 0.0
@@ -85,9 +82,7 @@ class CpuCore:
         whose line is in L1 -- or whose line the previous op ended on (see
         the module docstring) -- is served here, with the promotions the
         walk would make; its access and hit counts are added at the end,
-        which nothing in between reads.  Stand-in memory systems (the
-        codegen self-check's) have no hit path: every op of theirs goes
-        through :meth:`mem_access`.
+        which nothing in between reads.
         """
         try:
             ops = program._op_rows
@@ -105,10 +100,8 @@ class CpuCore:
         if random_ops:
             analytic_access = self.mem.analytic_access
             core_id = self.core_id
-        hit_path = self._hit_path
-        if hit_path is not None:
-            (line, page_size, tlb, dtlb, l1, l1_sets, l1_n_sets, l1_hits,
-             dtlb_walks, l1_hit_cycles) = hit_path
+        (line, page_size, tlb, dtlb, l1, l1_sets, l1_n_sets, l1_hits,
+         dtlb_walks, l1_hit_cycles) = self._hit_path
         mem_access = self.mem_access
         dma_base = DMA_BASE
         hits = 0
@@ -124,29 +117,28 @@ class CpuCore:
                 branch_misses.value += misses
             for target, offset, size, write in ops:
                 addr = bases[target] + offset
-                if hit_path is not None:
-                    line_addr = addr // line
-                    if (addr + size - 1) // line == line_addr:
-                        if line_addr == last_line:
-                            hits += 1
-                            cycles += l1_hit_cycles
-                            continue
-                        base = line_addr * line
-                        if base >= dma_base:
-                            page = HUGE_PAGE_TAG + (base - dma_base) // HUGE_PAGE_SIZE
-                        else:
-                            page = base // page_size
-                        cset = l1_sets[line_addr % l1_n_sets]
-                        if page in dtlb and line_addr in cset:
-                            dtlb.move_to_end(page)
-                            cset[line_addr] = cset.pop(line_addr)
-                            hits += 1
-                            cycles += l1_hit_cycles
-                            last_line = line_addr
-                            continue
-                    # The walk leaves the access's last line MRU in L1 and
-                    # its page MRU in the DTLB; an empty access touches none.
-                    last_line = (addr + size - 1) // line if size > 0 else -1
+                line_addr = addr // line
+                if (addr + size - 1) // line == line_addr:
+                    if line_addr == last_line:
+                        hits += 1
+                        cycles += l1_hit_cycles
+                        continue
+                    base = line_addr * line
+                    if base >= dma_base:
+                        page = HUGE_PAGE_TAG + (base - dma_base) // HUGE_PAGE_SIZE
+                    else:
+                        page = base // page_size
+                    cset = l1_sets[line_addr % l1_n_sets]
+                    if page in dtlb and line_addr in cset:
+                        dtlb.move_to_end(page)
+                        cset[line_addr] = cset.pop(line_addr)
+                        hits += 1
+                        cycles += l1_hit_cycles
+                        last_line = line_addr
+                        continue
+                # The walk leaves the access's last line MRU in L1 and
+                # its page MRU in the DTLB; an empty access touches none.
+                last_line = (addr + size - 1) // line if size > 0 else -1
                 self.instructions = ins
                 self.core_cycles = cycles
                 self.uncore_ns = ns

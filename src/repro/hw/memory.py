@@ -18,8 +18,7 @@ is the whole walk -- DTLB, then STLB, then page walk; L1, L2 and LLC with
 MRU promotion and inclusive LRU back-fill -- with the per-core structures
 it reads hoisted once into a tuple (:meth:`MemorySystem._walk_state`), so
 those structures are only ever cleared in place.  It is the definition of
-the model: :meth:`repro.hw.cpu.CpuCore.mem_access` and generated kernels
-call it, and :meth:`repro.hw.cpu.CpuCore.charge`, which charges a batch,
+the model: :meth:`repro.hw.cpu.CpuCore.mem_access` calls it, and :meth:`repro.hw.cpu.CpuCore.charge`, which charges a batch,
 serves L1/DTLB hits itself (with the structures
 :meth:`MemorySystem.hit_path` hands it) and sends every other access
 here.  :meth:`MemorySystem.prefetch` is the same walk without the TLB.

@@ -90,7 +90,7 @@ def test_missing_route_signature_is_rejected():
 
 
 def test_fast_path_refuses_to_engage_on_false_annotation(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
+    monkeypatch.setenv("REPRO_ROUTE_MEMO", "1")
     mill = PacketMill(IMPURE_CONFIG, BuildOptions.vanilla(),
                       params=MachineParams().at_frequency(2.3))
     with pytest.raises(PurityError, match="'x' claims pure_process"):
@@ -98,7 +98,7 @@ def test_fast_path_refuses_to_engage_on_false_annotation(monkeypatch):
 
 
 def test_build_succeeds_with_fast_path_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    monkeypatch.setenv("REPRO_ROUTE_MEMO", "0")
     mill = PacketMill(IMPURE_CONFIG, BuildOptions.vanilla(),
                       params=MachineParams().at_frequency(2.3))
     binary = mill.build()

@@ -1,14 +1,8 @@
-"""ProgramFacts: delta extraction, replay, and the codegen facts path."""
+"""ProgramFacts: delta extraction and replay."""
 
 import pytest
 
-from repro.compiler import codegen
-from repro.compiler.facts import (
-    FactsError,
-    ProgramFacts,
-    facts_between,
-    facts_signature,
-)
+from repro.compiler.facts import FactsError, ProgramFacts, facts_between
 from repro.compiler.lower import (
     TARGET_DATA,
     TARGET_STATE,
@@ -110,74 +104,3 @@ def test_overdrawn_facts_do_not_apply():
     facts = ProgramFacts(program="elem", dead_instructions=1000.0)
     with pytest.raises(FactsError, match="more cost"):
         facts.apply(_program(instructions=20.0))
-
-
-# -- signatures ---------------------------------------------------------------
-
-
-def test_empty_facts_maps_sign_as_none():
-    assert facts_signature(None) is None
-    assert facts_signature({}) is None
-
-
-def test_signature_is_order_independent_and_hashable():
-    a = ProgramFacts(program="a", dead_instructions=1.0)
-    b = ProgramFacts(program="b", dead_instructions=2.0)
-    sig = facts_signature({"a": a, "b": b})
-    assert sig == facts_signature({"b": b, "a": a})
-    assert hash(sig) is not None
-
-
-# -- the codegen facts path ---------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def fresh_codegen_stats():
-    codegen.reset_stats()
-    yield
-    codegen.reset_stats()
-
-
-def test_compile_with_facts_charges_the_pruned_program():
-    program = _program()
-    facts = facts_between(program, ExecProgram(
-        name="elem", instructions=14.0, branch_miss_expect=0.0,
-        mem_ops=[MemOp(TARGET_STATE, 8, 8, False)], random_ops=[],
-    ), branches_eliminated=1)
-    plain = codegen.compile_program(program)
-    pruned = codegen.compile_program(program, facts=facts)
-    assert pruned is not plain
-    stats = codegen.stats()
-    assert stats["facts_applied"] == 1
-    assert stats["facts_branches_eliminated"] == 1
-
-
-def test_facts_memo_is_separate_from_the_plain_memo():
-    program = _program()
-    facts = facts_between(program, _program(instructions=15.0))
-    plain_one = codegen.compile_program(program)
-    pruned_one = codegen.compile_program(program, facts=facts)
-    plain_two = codegen.compile_program(program)
-    pruned_two = codegen.compile_program(program, facts=facts)
-    assert plain_one is plain_two
-    assert pruned_one is pruned_two
-    assert plain_one is not pruned_one
-
-
-def test_empty_facts_fall_back_to_the_plain_path():
-    program = _program()
-    facts = facts_between(program, _program())
-    assert facts.is_empty
-    assert (codegen.compile_program(program, facts=facts)
-            is codegen.compile_program(program))
-    assert codegen.stats()["facts_applied"] == 0
-
-
-def test_inapplicable_facts_are_a_codegen_error():
-    program = _program()
-    stale = ProgramFacts(
-        program="elem",
-        dead_mem_ops=((TARGET_DATA, 99, 4, False),),
-    )
-    with pytest.raises(codegen.CodegenError, match="facts do not apply"):
-        codegen.compile_program(program, facts=stale)

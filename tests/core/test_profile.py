@@ -24,9 +24,9 @@ def test_kwargs_shim_builds_the_same_profile():
     options = BuildOptions.packetmill()
     params = MachineParams().at_frequency(2.3)
     mill = PacketMill(router(), options, params=params, seed=3, burst=16,
-                      tier="codegen")
+                      tier="interpreter")
     assert mill.profile == RunProfile(options=options, params=params,
-                                      seed=3, burst=16, tier="codegen")
+                                      seed=3, burst=16, tier="interpreter")
 
 
 def test_from_profile_measures_identically_to_kwargs():
@@ -54,13 +54,13 @@ def test_with_overrides_is_a_functional_update():
 
 def test_describe_lists_only_non_defaults():
     assert RunProfile().describe() == "(defaults)"
-    text = RunProfile(seed=9, tier="codegen").describe()
-    assert "seed=9" in text and "codegen" in text
+    text = RunProfile(seed=9, tier="interpreter").describe()
+    assert "seed=9" in text and "interpreter" in text
     assert "burst" not in text
 
 
 def test_tier_field_accepts_enum_and_policy():
-    for tier in (ExecutionTier.CODEGEN, "codegen",
-                 TierPolicy(tier="codegen", route_memo=False)):
+    for tier in (ExecutionTier.INTERPRETER, "interpreter",
+                 TierPolicy(tier="interpreter", route_memo=False)):
         mill = PacketMill.from_profile(router(), RunProfile(tier=tier))
-        assert mill.tier_policy.tier in ("codegen", ExecutionTier.CODEGEN)
+        assert mill.tier_policy.tier in ("interpreter", ExecutionTier.INTERPRETER)

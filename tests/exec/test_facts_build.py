@@ -1,8 +1,7 @@
-"""Facts-driven dead-code elimination: tier identity and cache keying."""
+"""Facts-driven dead-code elimination: tier identity and opt-in plumbing."""
 
 import pytest
 
-from repro.compiler import codegen
 from repro.core.nfs import guarded_router, router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
@@ -11,7 +10,7 @@ from repro.exec import cache as exec_cache
 from repro.hw.params import MachineParams
 from repro.perf.runner import measure_throughput
 
-TIERS = ("interpreter", "compiled", "codegen")
+TIERS = ("interpreter", "compiled")
 
 
 @pytest.fixture(autouse=True)
@@ -19,10 +18,8 @@ def fresh_state(monkeypatch):
     monkeypatch.delenv("REPRO_FACTS", raising=False)
     monkeypatch.delenv("REPRO_TIER", raising=False)
     exec_cache.reset_caches()
-    codegen.reset_stats()
     yield
     exec_cache.reset_caches()
-    codegen.reset_stats()
 
 
 def _build(config=None, tier="compiled", facts=None):
@@ -50,7 +47,7 @@ def test_facts_eliminate_branches_on_the_guarded_router():
     assert sum(f.branches_eliminated for f in facts.values()) >= 1
 
 
-def test_three_tiers_are_byte_identical_facts_on_and_off():
+def test_two_tiers_are_byte_identical_facts_on_and_off():
     points = {}
     for tier in TIERS:
         for facts in (False, True):
@@ -122,18 +119,3 @@ def test_telemetry_counts_the_eliminated_work():
         "analyze.constprop.branches_eliminated").value >= 1
     assert registry.counter(
         "analyze.constprop.instructions_eliminated").value > 0
-
-
-# -- cache separation ---------------------------------------------------------
-
-
-def test_codegen_cache_keys_facts_builds_separately():
-    _build(tier="codegen", facts=False)
-    misses_after_plain = exec_cache.stats()["codegen_misses"]
-    _build(tier="codegen", facts=True)
-    assert exec_cache.stats()["codegen_misses"] == misses_after_plain + 1
-    # Rebuilding either variant hits its own entry.
-    hits = exec_cache.stats()["codegen_hits"]
-    _build(tier="codegen", facts=False)
-    _build(tier="codegen", facts=True)
-    assert exec_cache.stats()["codegen_hits"] == hits + 2

@@ -18,7 +18,7 @@ def fresh_caches():
 
 
 def _run(monkeypatch, fastpath, **mill_kwargs):
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
+    monkeypatch.setenv("REPRO_ROUTE_MEMO", "1" if fastpath else "0")
     exec_cache.reset_caches()
     mill = PacketMill(router(), BuildOptions.packetmill(),
                       params=MachineParams().at_frequency(2.3), **mill_kwargs)

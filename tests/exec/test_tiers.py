@@ -1,11 +1,7 @@
-"""The ExecutionTier API: selection, bit-identity, fallback, counters."""
-
-import warnings
+"""The ExecutionTier API: selection, spelling checks, bit-identity."""
 
 import pytest
 
-from repro.compiler import codegen
-from repro.compiler import runtime
 from repro.compiler.runtime import (
     DEFAULT_TIER,
     ExecutionTier,
@@ -16,9 +12,7 @@ from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
 from repro.core.profile import RunProfile
-from repro.click.handlers import HandlerBroker
 from repro.exec import cache as exec_cache
-from repro.faults import MBUF_EXHAUSTION, FaultSchedule, FaultSpec
 from repro.hw.params import MachineParams
 from repro.perf.runner import measure_throughput
 
@@ -26,15 +20,12 @@ from repro.perf.runner import measure_throughput
 @pytest.fixture(autouse=True)
 def fresh_state(monkeypatch):
     # Selection tests assert the built-in defaults; scrub any ambient
-    # tier configuration (e.g. a REPRO_TIER=codegen CI matrix run).
-    for var in ("REPRO_TIER", "REPRO_TIER_CHECK", "REPRO_ROUTE_MEMO",
-                "REPRO_FASTPATH"):
+    # tier configuration (e.g. a REPRO_TIER=interpreter CI matrix run).
+    for var in ("REPRO_TIER", "REPRO_ROUTE_MEMO"):
         monkeypatch.delenv(var, raising=False)
     exec_cache.reset_caches()
-    codegen.reset_stats()
     yield
     exec_cache.reset_caches()
-    codegen.reset_stats()
 
 
 def _build(tier=None, **profile_kwargs):
@@ -57,55 +48,45 @@ def test_default_tier_is_compiled():
 
 
 def test_env_requests_a_tier(monkeypatch):
-    monkeypatch.setenv("REPRO_TIER", "codegen")
-    assert select_tier().tier is ExecutionTier.CODEGEN
+    monkeypatch.setenv("REPRO_TIER", "compiled")
+    assert select_tier().tier is ExecutionTier.COMPILED
     monkeypatch.setenv("REPRO_TIER", "interpreter")
     assert select_tier().tier is ExecutionTier.INTERPRETER
 
 
 def test_policy_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIER", "interpreter")
-    selection = select_tier(TierPolicy(tier="codegen"))
-    assert selection.tier is ExecutionTier.CODEGEN
+    selection = select_tier(TierPolicy(tier="compiled"))
+    assert selection.tier is ExecutionTier.COMPILED
 
 
-def test_unknown_tier_spelling_is_rejected():
-    with pytest.raises(ValueError, match="unknown execution tier"):
-        select_tier("jit")
+def _tier_argument(spelling, monkeypatch):
+    select_tier(spelling)
 
 
-def test_codegen_demotes_under_faults_and_watchdog():
-    for kwargs in ({"faults": True}, {"watchdog": True}):
-        selection = select_tier("codegen", **kwargs)
-        assert selection.tier is ExecutionTier.COMPILED
-        assert selection.demoted
-        assert selection.requested is ExecutionTier.CODEGEN
-        assert selection.reason
+def _profile_field(spelling, monkeypatch):
+    PacketMill.from_profile(router(), RunProfile(tier=spelling))
+
+
+def _environment(spelling, monkeypatch):
+    monkeypatch.setenv("REPRO_TIER", spelling)
+    _build()
+
+
+@pytest.mark.parametrize("spelling", ["jit", "codegen"])
+@pytest.mark.parametrize("route", [_tier_argument, _profile_field,
+                                   _environment],
+                         ids=["argument", "profile", "environment"])
+def test_unknown_tier_spelling_is_rejected(route, spelling, monkeypatch):
+    with pytest.raises(ValueError, match="unknown execution tier .*"
+                                         r"\(expected interpreter/compiled\)"):
+        route(spelling, monkeypatch)
 
 
 def test_route_memo_parks_under_any_instrumentation():
     assert select_tier().route_memo
     for kwargs in ({"faults": True}, {"watchdog": True}, {"telemetry": True}):
         assert not select_tier(**kwargs).route_memo
-
-
-def test_fastpath_env_still_works_with_one_time_warning(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    monkeypatch.setattr(runtime, "_fastpath_env_warned", False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert not select_tier().route_memo
-        assert not select_tier().route_memo
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "REPRO_ROUTE_MEMO" in str(deprecations[0].message)
-
-
-def test_route_memo_env_shadows_deprecated_alias(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.setenv("REPRO_ROUTE_MEMO", "0")
-    assert not select_tier().route_memo
 
 
 # -- bit-identity across tiers ------------------------------------------------
@@ -128,63 +109,11 @@ def test_run_stats_identical_across_all_tiers():
 
 
 def test_pmds_share_the_drivers_tier():
-    binary = _build(tier="codegen")
+    binary = _build(tier="interpreter")
+    assert binary.driver.tier is ExecutionTier.INTERPRETER
     for pmd in binary.pmds.values():
-        assert pmd.tier is ExecutionTier.CODEGEN
-        assert pmd._rx_fn is not None and pmd._tx_fn is not None
-
-
-# -- fallback under fault schedules -------------------------------------------
-
-
-def test_codegen_falls_back_under_a_fault_schedule():
-    faults = FaultSchedule(
-        [FaultSpec(MBUF_EXHAUSTION, start=15, stop=25)], seed=7)
-    binary = _build(tier="codegen", faults=faults)
-    assert binary.driver.tier is ExecutionTier.COMPILED
-    assert binary.driver.tier_selection.demoted
-    assert binary.driver.tier_selection.requested is ExecutionTier.CODEGEN
-    assert codegen.stats()["fallbacks"] >= 1
-    # The demoted run still completes on the compiled tier.
-    measure_throughput(binary, batches=40, warmup_batches=10)
-
-
-def test_compile_failure_demotes_the_whole_build(monkeypatch):
-    def broken(program, verify=None, check=None):
-        raise codegen.CodegenError("boom")
-
-    monkeypatch.setattr(codegen, "compile_program", broken)
-    binary = _build(tier="codegen")
-    assert binary.driver.tier is ExecutionTier.COMPILED
-    assert binary.driver.tier_selection.reason == "codegen compile failed"
-    point = measure_throughput(binary, batches=40, warmup_batches=10)
-    assert point.pps > 0
-
-
-# -- counters and caching -----------------------------------------------------
-
-
-def test_codegen_counters_visible_through_the_broker():
-    binary = _build(tier="codegen")
-    broker = HandlerBroker(binary.driver.graph)
-    assert int(broker.read("exec.codegen.compiles")) > 0
-    assert int(broker.read("exec.codegen.selfchecks")) > 0
-    assert int(broker.read("exec.codegen.tier_codegen")) >= 1
-    matches = broker.read_many("exec.codegen.*")
-    assert "exec.codegen.compiles" in matches
-    assert "exec.codegen.fallbacks" in matches
-
-
-def test_codegen_artifacts_cached_per_build():
-    binary = _build(tier="codegen")
-    n_elements = len(binary.exec_programs)
-    assert exec_cache.stats()["codegen_misses"] == 1
-    compiles = codegen.stats()["compiles"]
-    _build(tier="codegen")
-    assert exec_cache.stats()["codegen_hits"] == 1
-    # The second build reuses the cached element artifact map; only the
-    # PMD's freshly lowered rx/tx conversion programs can compile again.
-    assert codegen.stats()["compiles"] - compiles < n_elements
+        assert pmd.tier is ExecutionTier.INTERPRETER
+        assert pmd._interpret
 
 
 # -- RunProfile ---------------------------------------------------------------
@@ -192,11 +121,11 @@ def test_codegen_artifacts_cached_per_build():
 
 def test_profile_and_kwargs_builds_agree():
     exec_cache.reset_caches()
-    via_profile = _build(tier="codegen")
+    via_profile = _build(tier="interpreter")
     exec_cache.reset_caches()
     via_kwargs = PacketMill(
         router(), BuildOptions.packetmill(),
-        params=MachineParams().at_frequency(2.3), tier="codegen",
+        params=MachineParams().at_frequency(2.3), tier="interpreter",
     ).build()
     assert via_profile.driver.tier is via_kwargs.driver.tier
     a = measure_throughput(via_profile, batches=40, warmup_batches=10)

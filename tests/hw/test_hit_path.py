@@ -188,24 +188,6 @@ def test_hits_stay_in_the_core_frame():
     assert mem.tlbs[0].accesses == hits + len(entries)
 
 
-def test_stand_in_memory_takes_its_own_access():
-    class Stub:
-        def access(self, core, addr, size, write):
-            return 2.0, 3.0
-
-    cpu = CpuCore(PARAMS, Stub())
-    cpu.mem_access(0x40, 8, instructions=1.0)
-    assert cpu.uncore_ns == 3.0
-    assert cpu.core_cycles == 2.0 + 1.0 / PARAMS.issue_ipc
-    # The batch charger has no hit path for it: one access per op, even
-    # for a same-line repeat.
-    calls = []
-    cpu.mem.access = lambda *args: calls.append(args) or (0.0, 0.0)
-    program = ExecProgram("p", mem_ops=[MemOp(TARGET_STATE, 0, 8)] * 2)
-    cpu.charge(program, [(0, 0, 0, 0, 0x40)] * 2)
-    assert calls == [(0, 0x40, 8, False)] * 4
-
-
 def test_pickled_core_and_memory_continue_identically():
     binary = PacketMill(router(), BuildOptions.packetmill()).build()
     binary.driver.run_batches(20)
