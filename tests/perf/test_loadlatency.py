@@ -114,3 +114,53 @@ class TestLatencyBehaviour:
         # Flat region: 30% -> 60% grows little; knee: 90% -> 110% explodes.
         assert p99[1] < p99[0] * 3
         assert p99[3] > p99[1] * 5
+
+
+class TestRejectsNonFiniteInputs:
+    """NaN passed ``<= 0`` checks, then no arrival was ever ``<= now``:
+    the event loop spun forever, appending a batch per turn.  Each bad
+    input must raise before the simulator draws, i.e. before the loop."""
+
+    BAD_RATES = [float("nan"), float("inf"), float("-inf"), 0.0, -1e6]
+
+    @pytest.mark.parametrize("service_ns", BAD_RATES)
+    def test_rejects_bad_service_time(self, service_ns):
+        with pytest.raises(ValueError, match="service time"):
+            LoadLatencySimulator(service_ns)
+
+    @pytest.mark.parametrize("poll_overhead_ns",
+                             [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_poll_overhead(self, poll_overhead_ns):
+        # A negative overhead made the event clock run backwards.
+        with pytest.raises(ValueError, match="poll_overhead_ns"):
+            sim(poll_overhead_ns=poll_overhead_ns)
+
+    @pytest.mark.parametrize("base_latency_us",
+                             [float("nan"), float("inf"), -0.5])
+    def test_rejects_bad_base_latency(self, base_latency_us):
+        with pytest.raises(ValueError, match="base_latency_us"):
+            sim(base_latency_us=base_latency_us)
+
+    def test_zero_overhead_and_floor_stay_legal(self):
+        s = sim(poll_overhead_ns=0.0, base_latency_us=0.0)
+        assert s.run(1e6, n_packets=10).samples == 10
+
+    @staticmethod
+    def _undrawn():
+        s = sim()
+
+        def unit_draws(n_packets):
+            raise AssertionError("drew before validating the arguments")
+
+        s._unit_draws = unit_draws
+        return s
+
+    @pytest.mark.parametrize("offered_pps", BAD_RATES)
+    def test_rejects_bad_offered_rate(self, offered_pps):
+        with pytest.raises(ValueError, match="offered load"):
+            self._undrawn().run(offered_pps, 10)
+
+    @pytest.mark.parametrize("n_packets", [1000.0, 10.5, "10", None])
+    def test_rejects_non_integer_packet_count(self, n_packets):
+        with pytest.raises(ValueError, match="n_packets"):
+            self._undrawn().run(1e6, n_packets)
